@@ -14,6 +14,7 @@ from .environment import CostFn, Environment, cost_eval
 from .errors import (
     DomainError,
     GridMismatchError,
+    GuaranteeError,
     InstanceSizeError,
     LambdaValidationError,
     PreconditionError,

@@ -35,7 +35,6 @@ COMPARE_TOL = 1e-9
 CERTIFIED_EFFICIENT = "certified-efficient"
 TIGHT_NECESSARY = "satisfies-tightness-necessary-conditions"
 REFUTED = "refuted"
-INCONCLUSIVE = "inconclusive"
 
 MORE_EFFICIENT = "more-efficient"
 LESS_EFFICIENT = "less-efficient"

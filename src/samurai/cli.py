@@ -3,9 +3,10 @@
 Seven commands: validate, construct, tighten, check, compare, bruteforce,
 export.  Exit code 0 means success or a passing verdict, 2 a semantic
 negative (invalid loss function, refuted certificate, dominated mechanism),
-1 a usage or I/O error.  Outputs are byte-stable for fixed inputs and seed:
-JSON keys are sorted and CSV numbers carry 12 significant digits with dot
-decimals, comma delimiters, and LF line endings.
+1 a usage or I/O error or a failed internal guarantee.  Outputs are
+byte-stable for fixed inputs and seed: JSON keys are sorted and CSV numbers
+carry 12 significant digits with dot decimals, comma delimiters, and LF line
+endings.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from .environment import Environment
 from .errors import (
     DomainError,
     GridMismatchError,
+    GuaranteeError,
     InstanceSizeError,
     LambdaValidationError,
     PreconditionError,
@@ -136,15 +138,12 @@ def _plot_columns(m: Mechanism, env: Environment):
     return header, columns
 
 
-def export_plot_data(m: Mechanism, env: Environment, grid_size: int | None = None) -> str:
+def export_plot_data(m: Mechanism, env: Environment) -> str:
     """CSV of all per-type tables plus the recomputed minimal audit pair.
 
     Rows follow the mechanism's own grid (mechanisms are tabulated objects;
-    interpolation is not offered).  ``grid_size`` is accepted for interface
-    symmetry and only validated.
+    interpolation is not offered).
     """
-    if grid_size is not None and grid_size < 2:
-        raise DomainError("grid_size must be >= 2")
     feas = check_feasible(m, env)
     if not feas.passed:
         raise PreconditionError("mechanism is not feasible", certificate=feas)
@@ -241,7 +240,7 @@ def _cmd_bruteforce(config: RunConfig) -> int:
 def _cmd_export(config: RunConfig) -> int:
     env = _load_env(config)
     m = _load_mechanism(_need(config.mechanism_paths, "--mechanism")[0])
-    _emit(export_plot_data(m, env, config.grid_size), config.out)
+    _emit(export_plot_data(m, env), config.out)
     return EXIT_OK
 
 
@@ -275,7 +274,7 @@ def run(config: RunConfig) -> int:
     except (DomainError, GridMismatchError, InstanceSizeError, RoundingError) as exc:
         _emit(_dump_json({"error": str(exc)}), config.out)
         return EXIT_NEGATIVE
-    except (OSError, ValueError, KeyError) as exc:
+    except (GuaranteeError, OSError, ValueError, KeyError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
 

@@ -36,6 +36,10 @@ class PreconditionError(SamuraiError, RuntimeError):
         super().__init__(message)
 
 
+class GuaranteeError(SamuraiError, RuntimeError):
+    """An operation's output failed one of the guarantees it promises."""
+
+
 class InstanceSizeError(SamuraiError, ValueError):
     """A discrete instance would require too many candidates to enumerate."""
 

@@ -106,9 +106,6 @@ class CheckResult:
 def revenue_table(m: Mechanism) -> np.ndarray:
     return m.grid - (m.a * m.r_p + (1.0 - m.a) * m.r_empty)
 
-def utility_table(m: Mechanism) -> np.ndarray:
-    return m.grid - revenue_table(m)
-
 def profit_table(m: Mechanism, env: Environment) -> np.ndarray:
     return revenue_table(m) - cost_eval(env.cost, m.a)
 

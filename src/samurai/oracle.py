@@ -1,7 +1,8 @@
 """Independent brute-force verification on small discrete instances.
 
 Every feasible IC mechanism on a finite lattice is enumerated and scanned
-for a dominator in the chosen partial order.  Verdicts are certified only
+for a dominator in the chosen partial order; options that fail a per-type
+dominance condition are dropped before the scan.  Verdicts are certified only
 within the lattice; the instance description is part of the result so the
 finite scope stays explicit.
 """
@@ -9,7 +10,6 @@ finite scope stays explicit.
 from __future__ import annotations
 
 import itertools
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -114,17 +114,24 @@ def bruteforce_deviation_loss(m: Mechanism, inst: DiscreteInstance) -> np.ndarra
     return out
 
 
+def _revenue(types, A, RP, RE) -> np.ndarray:
+    return types - (A * RP + (1.0 - A) * RE)
+
+
+def _menu_min(types, A, RE) -> np.ndarray:
+    """Deviation loss per candidate row: at each type, the cheapest menu line of the types below."""
+    lam = np.empty_like(A)
+    for j in range(len(types)):
+        menu = A[:, : j + 1] * types[j] + (1.0 - A[:, : j + 1]) * (types[: j + 1] - RE[:, : j + 1])
+        lam[:, j] = menu.min(axis=1)
+    return lam
+
+
 def _ic_mask(inst: DiscreteInstance, A, RP, RE) -> np.ndarray:
     """Vectorized IC check for a block of candidates (rows) on the type set."""
     types = np.asarray(inst.types)
-    n = len(types)
-    R = types[None, :] - (A * RP + (1.0 - A) * RE)
-    ok = np.ones(A.shape[0], dtype=bool)
-    for j in range(n):
-        x = types[j]
-        menu = A[:, : j + 1] * x + (1.0 - A[:, : j + 1]) * (types[: j + 1][None, :] - RE[:, : j + 1])
-        ok &= menu.min(axis=1) >= R[:, j] - LATTICE_EQ_TOL
-    return ok
+    R = _revenue(types, A, RP, RE)
+    return np.all(_menu_min(types, A, RE) >= R - LATTICE_EQ_TOL, axis=1)
 
 
 def enumerate_feasible_ic(inst: DiscreteInstance):
@@ -207,72 +214,59 @@ def is_undominated(
         )
 
     target = Mechanism(grid=types.copy(), a=a_hat, r_p=rp_hat, r_empty=re_hat)
-    R_t = types - (a_hat * rp_hat + (1.0 - a_hat) * re_hat)
+    R_t = _revenue(types, a_hat, rp_hat, re_hat)
     lam_t = bruteforce_deviation_loss(target, inst)
     Pi_t = R_t - cost_eval(inst.env.cost, a_hat)
+    eps = LATTICE_EQ_TOL
 
-    option_tables = [inst.options(t) for t in range(len(types))]
-    counts = [len(t) for t in option_tables]
+    # Every dominance condition speaks about one type's option alone, so each
+    # option table is filtered first; only IC and strictness couple the types.
+    # Filtering keeps lexicographic order, hence the same first witness.
     n = len(types)
-    split, lead_iter, trail = _chunk_blocks(option_tables)
-    trail_counts = counts[split:]
-    trail_idx = np.stack(
-        np.unravel_index(np.arange(trail), trail_counts), axis=1
-    ) if trail_counts else np.zeros((1, 0), dtype=int)
-
-    checked = 0
-    workers = max(1, int(os.environ.get("SAMURAI_THREADS", "1") or 1))
-
-    def scan_block(lead):
-        A = np.empty((trail_idx.shape[0], n))
-        RP = np.empty_like(A)
-        RE = np.empty_like(A)
-        for t in range(split):
-            opt = option_tables[t][lead[t]]
-            A[:, t], RP[:, t], RE[:, t] = opt[0], opt[1], opt[2]
-        for t in range(split, n):
-            opt = option_tables[t][trail_idx[:, t - split]]
-            A[:, t], RP[:, t], RE[:, t] = opt[:, 0], opt[:, 1], opt[:, 2]
-        ok = _ic_mask(inst, A, RP, RE)
-        R = types[None, :] - (A * RP + (1.0 - A) * RE)
-        eps = LATTICE_EQ_TOL
+    option_tables = [inst.options(t) for t in range(n)]
+    counts = [len(table) for table in option_tables]
+    keep = []
+    for t, table in enumerate(option_tables):
+        a, rp, re = table.T.copy()
+        r = _revenue(types[t], a, rp, re)
         if mode == "efficiency":
-            dom = ok & np.all(R >= R_t[None, :] - eps, axis=1) & np.all(A <= a_hat[None, :] + eps, axis=1)
-            strict = (np.max(R - R_t[None, :], axis=1) > eps) | (np.max(a_hat[None, :] - A, axis=1) > eps)
+            ok = (r >= R_t[t] - eps) & (a <= a_hat[t] + eps)
+        else:
+            ok = r - cost_eval(inst.env.cost, a) >= Pi_t[t] - eps
+            # lambda_j is a minimum over menu lines, so it clears a floor
+            # iff every line entering it does, among them this type's
+            for j in range(t, n):
+                ok &= a * types[j] + (1.0 - a) * (types[t] - re) >= lam_t[j] - eps
+        keep.append(np.nonzero(ok)[0])
+    survivors = [table[k] for table, k in zip(option_tables, keep)]
+
+    split, lead_iter, trail = _chunk_blocks(survivors)
+    trail_idx = np.stack(np.unravel_index(np.arange(trail), [len(s) for s in survivors[split:]]), axis=1)
+    blocks = list(lead_iter)
+    checked = int(np.prod(counts))
+    witness = None
+    for b, lead in enumerate(blocks):
+        cols = [
+            np.broadcast_to(tab[lead[t]], (trail, 3)) if t < split else tab[trail_idx[:, t - split]]
+            for t, tab in enumerate(survivors)
+        ]
+        A, RP, RE = np.ascontiguousarray(np.stack(cols, axis=-1).transpose(1, 0, 2))
+        R = _revenue(types, A, RP, RE)
+        lam = _menu_min(types, A, RE)
+        if mode == "efficiency":
+            strict = (np.max(R - R_t, axis=1) > eps) | (np.max(a_hat - A, axis=1) > eps)
         else:
             Pi = R - cost_eval(inst.env.cost, A)
-            lam = np.empty_like(R)
-            for j in range(n):
-                menu = A[:, : j + 1] * types[j] + (1.0 - A[:, : j + 1]) * (
-                    types[: j + 1][None, :] - RE[:, : j + 1]
-                )
-                lam[:, j] = menu.min(axis=1)
-            dom = ok & np.all(Pi >= Pi_t[None, :] - eps, axis=1) & np.all(lam >= lam_t[None, :] - eps, axis=1)
-            strict = (np.max(Pi - Pi_t[None, :], axis=1) > eps) | (np.max(lam - lam_t[None, :], axis=1) > eps)
-        hits = np.nonzero(dom & strict)[0]
+            strict = (np.max(Pi - Pi_t, axis=1) > eps) | (np.max(lam - lam_t, axis=1) > eps)
+        hits = np.nonzero(np.all(lam >= R - eps, axis=1) & strict)[0]
         if len(hits):
             c = int(hits[0])
-            return Mechanism(grid=types.copy(), a=A[c].copy(), r_p=RP[c].copy(), r_empty=RE[c].copy())
-        return None
-
-    blocks = list(lead_iter) if split else [()]
-    witness = None
-    if workers > 1 and len(blocks) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for res in pool.map(scan_block, blocks):
-                checked += trail_idx.shape[0]
-                if res is not None and witness is None:
-                    witness = res
-                    break
-    else:
-        for lead in blocks:
-            res = scan_block(lead)
-            checked += trail_idx.shape[0]
-            if res is not None:
-                witness = res
-                break
+            witness = Mechanism(grid=types.copy(), a=A[c].copy(), r_p=RP[c].copy(), r_empty=RE[c].copy())
+            if b + 1 < len(blocks):
+                # rank in the full lattice of the first survivor left unscanned
+                first = [keep[t][i] for t, i in enumerate(blocks[b + 1])] + [k[0] for k in keep[split:]]
+                checked = int(np.ravel_multi_index(first, counts))
+            break
 
     return DominanceVerdict(
         undominated=witness is None,

@@ -16,7 +16,7 @@ import numpy as np
 from .audit_schedule import AuditSchedule
 from .constructor import merge_grid, refunds_from, support_types
 from .environment import Environment, cost_eval
-from .errors import PreconditionError
+from .errors import GuaranteeError, PreconditionError
 from .lambda_space import LossFunction, virtual_loss
 from .mechanism import Mechanism, check_feasible, check_ic, deviation_loss_table, report, revenue_table
 
@@ -97,9 +97,10 @@ def tighten(m: Mechanism, env: Environment) -> TightenReport:
             np.max(rep.profit - (star_at_in - cost_eval(env.cost, a_out_at_in))),
         ),
     ]
+    tol = GUARANTEE_TOL * max(1.0, env.span)
     for label, worst in checks:
-        if worst > GUARANTEE_TOL:
-            raise RuntimeError(f"tightening guarantee violated: {label} by {worst:.3g}")
+        if worst > tol:
+            raise GuaranteeError(f"tightening guarantee violated: {label} by {worst:.3g}")
 
     return TightenReport(
         grid_in=m.grid,

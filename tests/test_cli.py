@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cli_harness import GOLD, GOLDEN_CASES, run_cli
-from samurai import Mechanism
+from samurai import GuaranteeError, Mechanism, cli
 
 
 @pytest.mark.parametrize("expect_code,golden,argv", GOLDEN_CASES, ids=[c[1] for c in GOLDEN_CASES])
@@ -73,3 +73,24 @@ def test_csv_line_endings_are_lf():
     assert b"\r" not in data
     header = data.split(b"\n", 1)[0].decode()
     assert header == "x,a,r_p,r_empty,R,U,Pi,lambda_m,alpha,beta"
+
+
+def test_tighten_far_from_unit_interval(tmp_path):
+    env = {"x_lo": 0.0, "x_hi": 1e6, "tau": 5e5, "cost": {"kind": "linear", "k": 0.1, "p": 1.0}}
+    (tmp_path / "env.json").write_text(json.dumps(env))
+    res = run_cli("construct", "--env", str(tmp_path / "env.json"), "--seed", "0", "--grid", "401", out=tmp_path / "m.json")
+    assert res.returncode == 0, res.stderr
+    res = run_cli("tighten", "--env", str(tmp_path / "env.json"), "--mechanism", str(tmp_path / "m.json"), out=tmp_path / "t.json")
+    assert res.returncode == 0, res.stderr
+
+
+def test_guarantee_error_is_one_line(monkeypatch, capsys):
+    def violated(m, env):
+        raise GuaranteeError("tightening guarantee violated: profit fell by 1e-06")
+
+    monkeypatch.setattr(cli, "run_tighten", violated)
+    code = cli.main(["tighten", "--env", str(GOLD / "env_lin.json"), "--mechanism", str(GOLD / "construct_debt.json")])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == "error: tightening guarantee violated: profit fell by 1e-06\n"

@@ -1,6 +1,5 @@
 """Properties that tie several modules together."""
 
-import os
 import subprocess
 import sys
 
@@ -43,16 +42,6 @@ def test_certified_efficient_is_undominated_on_lattice(types, spec):
     assert certify_efficient(m, env).verdict == "certified-efficient"
     inst = DiscreteInstance(types=types, q=2, refund_levels=5, env=env)
     assert is_undominated(m, inst, "efficiency").undominated
-
-
-def test_thread_cap_leaves_verdict_unchanged(monkeypatch):
-    env = make_env()
-    inst = DiscreteInstance(types=(0.0, 0.25, 0.5, 1.0), q=2, refund_levels=5, env=env)
-    m = build_on_types(debt_loss(env, 0.5), env, inst.types)
-    single = is_undominated(m, inst, "efficiency")
-    monkeypatch.setenv("SAMURAI_THREADS", "4")
-    threaded = is_undominated(m, inst, "efficiency")
-    assert single.undominated == threaded.undominated
 
 
 def test_off_lattice_mechanism_refused():

@@ -2,17 +2,21 @@ import numpy as np
 import pytest
 
 from samurai import (
+    CostFn,
     DiscreteInstance,
+    Environment,
     InstanceSizeError,
     Mechanism,
     bruteforce_deviation_loss,
     check_feasible,
     check_ic,
+    cost_eval,
     debt_loss,
     deviation_loss_table,
     enumerate_feasible_ic,
     is_undominated,
 )
+from samurai.oracle import LATTICE_EQ_TOL
 
 from conftest import build_on_types, make_env
 
@@ -156,3 +160,91 @@ class TestBruteforceDeviationLoss:
             DiscreteInstance(types=(0.0, 0.5, 1.0), q=1, refund_levels=2, env=env)
         ):
             assert np.array_equal(bruteforce_deviation_loss(cand, inst), deviation_loss_table(cand))
+
+
+def reference_witness(m, inst, mode):
+    """First dominator of the lattice mechanism ``m``, straight from the definition.
+
+    Walks every feasible IC lattice mechanism in lexicographic order and
+    compares the criteria of the partial order, all oriented higher-is-better:
+    revenue and negated audits for efficiency, profit and the deviation loss
+    (by the explicit full scan) for tightness.
+    """
+
+    def criteria(c):
+        revenue = c.grid - (c.a * c.r_p + (1.0 - c.a) * c.r_empty)
+        if mode == "efficiency":
+            return revenue, -c.a
+        return revenue - cost_eval(inst.env.cost, c.a), bruteforce_deviation_loss(c, inst)
+
+    eps = LATTICE_EQ_TOL
+    target = criteria(m)
+    for cand in enumerate_feasible_ic(inst):
+        mine = criteria(cand)
+        if all(np.all(x >= y - eps) for x, y in zip(mine, target)) and any(
+            np.any(x - y > eps) for x, y in zip(mine, target)
+        ):
+            return cand
+    return None
+
+
+def assert_same_verdict(verdict, reference):
+    assert verdict.undominated == (reference is None)
+    if reference is not None:
+        for key in ("grid", "a", "r_p", "r_empty"):
+            assert np.array_equal(getattr(verdict.witness, key), getattr(reference, key))
+
+
+class TestPrunedScanEquivalence:
+    @pytest.mark.parametrize("tau", [0.0, 0.5])
+    @pytest.mark.parametrize("cost", [CostFn("linear", 0.1), CostFn("power", 0.7, 2.0), CostFn("power", 0.3, 1.5)])
+    def test_random_targets_match_definition(self, tau, cost):
+        env = Environment(x_lo=0.0, x_hi=1.0, tau=tau, cost=cost)
+        rng = np.random.default_rng([int(tau * 2), int(cost.k * 10)])
+        dominated = 0
+        for _ in range(6):
+            inst = None
+            while inst is None or inst.candidate_count() > 6000:  # keeps the reference walk short
+                types = (0.0, 1.0) if rng.integers(0, 3) == 0 else (0.0, float(rng.choice([0.25, 0.5])), 1.0)
+                inst = DiscreteInstance(
+                    types=types, q=int(rng.integers(1, 3)), refund_levels=int(rng.integers(2, 5)), env=env
+                )
+            rows = np.asarray([tab[rng.integers(0, len(tab))] for tab in map(inst.options, range(len(types)))])
+            m = Mechanism(grid=np.asarray(types), a=rows[:, 0], r_p=rows[:, 1], r_empty=rows[:, 2])
+            for mode in ("efficiency", "tightness"):
+                verdict = is_undominated(m, inst, mode)
+                reference = reference_witness(m, inst, mode)
+                assert_same_verdict(verdict, reference)
+                dominated += reference is not None
+        assert 0 < dominated < 12  # both verdicts occur
+
+    def test_dominator_by_deviation_loss_alone(self):
+        # moving the top type's refund from the no-audit to the audit branch
+        # keeps every profit but lifts that type's menu line, and with it
+        # the deviation loss at the top: a dominator in tightness only
+        env = make_env(tau=0.5)
+        inst = DiscreteInstance(types=(0.0, 1.0), q=2, refund_levels=2, env=env)
+        grid = np.array([0.0, 1.0])
+        m = Mechanism(grid=grid, a=np.full(2, 0.5), r_p=np.zeros(2), r_empty=np.array([0.0, 1.5]))
+        verdict = is_undominated(m, inst, "tightness")
+        assert_same_verdict(verdict, reference_witness(m, inst, "tightness"))
+        assert np.array_equal(verdict.witness.r_p, [0.0, 1.5])
+        assert np.array_equal(verdict.witness.r_empty, [0.0, 0.0])
+
+    def test_survivors_beyond_one_block(self, env):
+        # a = 1 with r_p at the cap has the lowest revenue and the highest
+        # audits possible, so every one of the 2 * 50**3 = 250,000 options
+        # survives the per-type filter and the scan splits at type 0's audit
+        # into two blocks of 125,000; the witness (a = 0 at type 0) lies in
+        # the first, so the verdict decided the lattice up to the first
+        # candidate of the second block
+        types = (0.0, 0.25, 0.5, 1.0)
+        inst = DiscreteInstance(types=types, q=1, refund_levels=5, env=env)
+        counts = [len(inst.options(t)) for t in range(len(types))]
+        assert counts == [2, 50, 50, 50]
+        grid = np.asarray(types)
+        m = Mechanism(grid=grid, a=np.ones(4), r_p=grid + env.tau, r_empty=np.zeros(4))
+        verdict = is_undominated(m, inst, "efficiency")
+        assert_same_verdict(verdict, reference_witness(m, inst, "efficiency"))
+        assert verdict.witness.a[0] == 0.0
+        assert verdict.candidates_checked == np.ravel_multi_index((1, 0, 0, 0), counts) == 125_000

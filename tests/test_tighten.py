@@ -79,6 +79,16 @@ class TestNamedCases:
             tighten(m, env)
 
 
+@pytest.mark.parametrize("scale", [1e-3, 1e3, 1e6])
+def test_constructor_outputs_tighten_at_every_scale(scale):
+    # x, tau and the cost scale all grow by `scale`; the guarantees hold to
+    # a tolerance relative to the span, so tightening never raises
+    env = make_env(tau=0.5 * scale, k=0.1 * scale, x_hi=scale)
+    rng = np.random.default_rng(70)
+    for _ in range(10):
+        tighten(build_efficient(random_loss_function(env, rng), env, 401), env)
+
+
 class TestGuarantees:
     @pytest.mark.parametrize("tau", [0.0, 0.5, 1.0])
     def test_chains_on_random_mechanisms(self, tau):
