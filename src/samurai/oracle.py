@@ -2,7 +2,8 @@
 
 Every feasible IC mechanism on a finite lattice is enumerated and scanned
 for a dominator in the chosen partial order; options that fail a per-type
-dominance condition are dropped before the scan.  Verdicts are certified only
+dominance condition are dropped before the scan, and the scan drops every
+partial candidate that already fails IC.  Verdicts are certified only
 within the lattice; the instance description is part of the result so the
 finite scope stays explicit.
 """
@@ -59,11 +60,8 @@ class DiscreteInstance:
 
     def options(self, t: int):
         """Lexicographic per-type option table: columns (a, r_p, r_empty)."""
-        y = self.types[t]
-        combos = list(
-            itertools.product(self.audit_lattice(), self.refund_lattice(y), self.refund_lattice(y))
-        )
-        return np.asarray(combos, dtype=float)
+        lat = self.refund_lattice(self.types[t])
+        return np.asarray(list(itertools.product(self.audit_lattice(), lat, lat)), dtype=float)
 
     def candidate_count(self) -> float:
         total = 1.0
@@ -118,20 +116,13 @@ def _revenue(types, A, RP, RE) -> np.ndarray:
     return types - (A * RP + (1.0 - A) * RE)
 
 
-def _menu_min(types, A, RE) -> np.ndarray:
-    """Deviation loss per candidate row: at each type, the cheapest menu line of the types below."""
-    lam = np.empty_like(A)
-    for j in range(len(types)):
-        menu = A[:, : j + 1] * types[j] + (1.0 - A[:, : j + 1]) * (types[: j + 1] - RE[:, : j + 1])
-        lam[:, j] = menu.min(axis=1)
-    return lam
-
-
 def _ic_mask(inst: DiscreteInstance, A, RP, RE) -> np.ndarray:
-    """Vectorized IC check for a block of candidates (rows) on the type set."""
+    """Vectorized IC check for a block of candidates (rows) on the type set:
+    at each type, the cheapest menu line of the types up to it covers the revenue."""
     types = np.asarray(inst.types)
-    R = _revenue(types, A, RP, RE)
-    return np.all(_menu_min(types, A, RE) >= R - LATTICE_EQ_TOL, axis=1)
+    lines = A[:, :, None] * types + (1.0 - A[:, :, None]) * (types - RE)[:, :, None]  # [row, i, j]
+    lam = np.where(np.tri(len(types), dtype=bool).T, lines, np.inf).min(axis=1)  # lines i <= j
+    return np.all(lam >= _revenue(types, A, RP, RE) - LATTICE_EQ_TOL, axis=1)
 
 
 def enumerate_feasible_ic(inst: DiscreteInstance):
@@ -167,8 +158,41 @@ def _chunk_blocks(option_tables, max_block: int = 200_000):
     while split < len(counts) - 1 and trail > max_block:
         trail //= counts[split]
         split += 1
-    lead_iter = itertools.product(*[range(c) for c in counts[:split]])
-    return split, lead_iter, trail
+    return split, list(itertools.product(*[range(c) for c in counts[:split]]))
+
+
+def _first_dominator(types, tables, mode, cost, target):
+    """Options (rows a, r_p, r_empty) of the lexicographically first IC
+    candidate in the product of ``tables`` strictly better than ``target``, or None.
+
+    IC at a type speaks about that type's option and those below it only, so
+    the product grows one type at a time and drops every prefix that fails
+    it.  A prefix carries the cheapest menu line of its options at each type
+    and whether it beats the target strictly somewhere.
+    """
+    R_t, a_hat, Pi_t, lam_t = target
+    eps = LATTICE_EQ_TOL
+    rows = np.zeros((1, 0), dtype=np.intp)  # option index per type of each kept prefix
+    floor = np.full((1, len(types)), np.inf)
+    strict = np.zeros(1, dtype=bool)
+    for t, tab in enumerate(tables):
+        a, rp, re = tab.T
+        R = _revenue(types[t], a, rp, re)
+        lines = a[:, None] * types + (1.0 - a[:, None]) * (types[t] - re[:, None])
+        lam = np.minimum(floor[:, t : t + 1], lines[:, t])
+        if mode == "efficiency":
+            better = (R - R_t[t] > eps) | (a_hat[t] - a > eps)
+        else:
+            better = (R - cost_eval(cost, a) - Pi_t[t] > eps) | (lam - lam_t[t] > eps)
+        strict = strict[:, None] | better
+        ok = (lam >= R - eps) & (strict if t == len(tables) - 1 else True)  # a full candidate must gain
+        p, c = np.nonzero(ok)  # row-major, so the prefixes stay in lexicographic order
+        if not len(p):
+            return None
+        rows = np.column_stack([rows[p], c])
+        floor = np.minimum(floor[p], lines[c])
+        strict = strict[p, c]
+    return np.array([tab[i] for tab, i in zip(tables, rows[0])])
 
 
 def is_undominated(
@@ -191,22 +215,16 @@ def is_undominated(
         raise ValueError("mechanism grid must equal the instance type set")
 
     a_lat = inst.audit_lattice()
-    a_hat, err_a = _round_to_lattice(m.a, a_lat)
-    rp_hat = np.empty_like(m.r_p)
-    re_hat = np.empty_like(m.r_empty)
-    err_r = 0.0
-    min_step = np.diff(a_lat).min()
+    a_hat, rounding_error = _round_to_lattice(m.a, a_lat)
+    rp_hat, re_hat = m.r_p.astype(float), m.r_empty.astype(float)
+    steps = list(np.diff(a_lat))
     for t in range(len(types)):
         lat = inst.refund_lattice(types[t])
-        rp_round, e1 = _round_to_lattice(m.r_p[t : t + 1], lat)
-        re_round, e2 = _round_to_lattice(m.r_empty[t : t + 1], lat)
-        rp_hat[t] = rp_round[0]
-        re_hat[t] = re_round[0]
-        err_r = max(err_r, e1, e2)
-        if len(lat) > 1:
-            min_step = min(min_step, np.diff(lat).min())
-    rounding_error = max(err_a, err_r)
-    limit = max_rounding if max_rounding is not None else 0.5 * min_step + 1e-12
+        for hat in (rp_hat, re_hat):
+            hat[t : t + 1], err = _round_to_lattice(hat[t : t + 1], lat)
+            rounding_error = max(rounding_error, err)
+        steps += list(np.diff(lat))
+    limit = max_rounding if max_rounding is not None else 0.5 * min(steps) + 1e-12
     if rounding_error > limit:
         raise RoundingError(
             f"rounding error {rounding_error:.3g} exceeds {limit:.3g}; "
@@ -222,8 +240,7 @@ def is_undominated(
     # Every dominance condition speaks about one type's option alone, so each
     # option table is filtered first; only IC and strictness couple the types.
     # Filtering keeps lexicographic order, hence the same first witness.
-    n = len(types)
-    option_tables = [inst.options(t) for t in range(n)]
+    option_tables = [inst.options(t) for t in range(len(types))]
     counts = [len(table) for table in option_tables]
     keep = []
     for t, table in enumerate(option_tables):
@@ -235,33 +252,19 @@ def is_undominated(
             ok = r - cost_eval(inst.env.cost, a) >= Pi_t[t] - eps
             # lambda_j is a minimum over menu lines, so it clears a floor
             # iff every line entering it does, among them this type's
-            for j in range(t, n):
-                ok &= a * types[j] + (1.0 - a) * (types[t] - re) >= lam_t[j] - eps
+            menu = a[:, None] * types[t:] + (1.0 - a[:, None]) * (types[t] - re[:, None])
+            ok &= np.all(menu >= lam_t[t:] - eps, axis=1)
         keep.append(np.nonzero(ok)[0])
     survivors = [table[k] for table, k in zip(option_tables, keep)]
 
-    split, lead_iter, trail = _chunk_blocks(survivors)
-    trail_idx = np.stack(np.unravel_index(np.arange(trail), [len(s) for s in survivors[split:]]), axis=1)
-    blocks = list(lead_iter)
+    split, blocks = _chunk_blocks(survivors)
     checked = int(np.prod(counts))
     witness = None
     for b, lead in enumerate(blocks):
-        cols = [
-            np.broadcast_to(tab[lead[t]], (trail, 3)) if t < split else tab[trail_idx[:, t - split]]
-            for t, tab in enumerate(survivors)
-        ]
-        A, RP, RE = np.ascontiguousarray(np.stack(cols, axis=-1).transpose(1, 0, 2))
-        R = _revenue(types, A, RP, RE)
-        lam = _menu_min(types, A, RE)
-        if mode == "efficiency":
-            strict = (np.max(R - R_t, axis=1) > eps) | (np.max(a_hat - A, axis=1) > eps)
-        else:
-            Pi = R - cost_eval(inst.env.cost, A)
-            strict = (np.max(Pi - Pi_t, axis=1) > eps) | (np.max(lam - lam_t, axis=1) > eps)
-        hits = np.nonzero(np.all(lam >= R - eps, axis=1) & strict)[0]
-        if len(hits):
-            c = int(hits[0])
-            witness = Mechanism(grid=types.copy(), a=A[c].copy(), r_p=RP[c].copy(), r_empty=RE[c].copy())
+        tables = [tab[lead[t] : lead[t] + 1] if t < split else tab for t, tab in enumerate(survivors)]
+        found = _first_dominator(types, tables, mode, inst.env.cost, (R_t, a_hat, Pi_t, lam_t))
+        if found is not None:
+            witness = Mechanism(grid=types.copy(), a=found[:, 0], r_p=found[:, 1], r_empty=found[:, 2])
             if b + 1 < len(blocks):
                 # rank in the full lattice of the first survivor left unscanned
                 first = [keep[t][i] for t, i in enumerate(blocks[b + 1])] + [k[0] for k in keep[split:]]
