@@ -205,8 +205,10 @@ def _cmd_check(config: RunConfig) -> int:
     env = _load_env(config)
     m = _load_mechanism(_need(config.mechanism_paths, "--mechanism")[0])
     tol = config.tol if config.tol is not None else certify.CERT_TOL
-    eff = certify.certify_efficient(m, env, tol=tol)
-    tight = certify.certify_tight_necessary(m, env, tol=tol)
+    # one report for both certificates; the first refuses an infeasible mechanism
+    rep = report(m, env) if check_feasible(m, env).passed else None
+    eff = certify.certify_efficient(m, env, rep=rep, tol=tol)
+    tight = certify.certify_tight_necessary(m, env, rep=rep, tol=tol)
     _emit(_dump_json({"efficient": eff.to_dict(), "tightness_necessary": tight.to_dict()}), config.out)
     return EXIT_OK if eff.verdict == certify.CERTIFIED_EFFICIENT else EXIT_NEGATIVE
 

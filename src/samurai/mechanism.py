@@ -17,6 +17,9 @@ from .errors import DomainError
 
 IC_TOL = 1e-9
 FEAS_TOL = 1e-12
+# Columns per block of the menu minimum: its working memory is
+# len(a) * MENU_BLOCK floats, whatever the grid size.
+MENU_BLOCK = 128
 
 
 @dataclass(frozen=True, eq=False)
@@ -112,12 +115,38 @@ def profit_table(m: Mechanism, env: Environment) -> np.ndarray:
 def deviation_loss_table(m: Mechanism) -> np.ndarray:
     """Loss from the cheapest under-report, per type.
 
-    Each grid point y contributes the line a(y)*x + (1-a(y))*(y - r_empty(y));
-    the loss at x is the minimum over lines with y <= x, obtained as the
-    diagonal of a running minimum.
+    Each grid point y contributes the menu line a(y)*x + (1-a(y))*(y - r_empty(y));
+    the loss at x is the minimum over the lines with y <= x.
     """
-    terms = np.outer(m.a, m.grid) + ((1.0 - m.a) * (m.grid - m.r_empty))[:, None]
-    return np.minimum.accumulate(terms, axis=0).diagonal().copy()
+    return _menu_min(m.a, m.grid, _menu_offsets(m))
+
+
+def _menu_offsets(m: Mechanism) -> np.ndarray:
+    return (1.0 - m.a) * (m.grid - m.r_empty)
+
+
+def _menu_min(a: np.ndarray, x: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Minimum over the menu lines a[i]*x + c[i] open to each type.
+
+    x is aligned with the last len(x) lines: entry k is the minimum of
+    a[i]*x[k] + c[i] over i <= len(a) - len(x) + k.  The terms are evaluated
+    MENU_BLOCK columns at a time, with the lines of types above each column's
+    own set to +inf.  Each term is the same float product and sum as in a
+    full table and min is exact, so the block width does not change the result.
+    """
+    shift = len(a) - len(x)
+    width = min(MENU_BLOCK, len(x))
+    buf = np.empty((len(a), width))
+    below_diag = np.tri(width, k=-1, dtype=bool)
+    out = np.empty(len(x))
+    for k0 in range(0, len(x), MENU_BLOCK):
+        k1 = min(k0 + MENU_BLOCK, len(x))
+        rows, w = shift + k1, k1 - k0
+        block = np.multiply.outer(a[:rows], x[k0:k1], out=buf[:rows, :w])
+        block += c[:rows, None]
+        block[rows - w :][below_diag[:w, :w]] = np.inf
+        out[k0:k1] = block.min(axis=0)
+    return out
 
 
 # -- scalar accessors --------------------------------------------------------
@@ -136,13 +165,7 @@ def profit(m: Mechanism, env: Environment, x: float) -> float:
 
 def deviation_loss(m: Mechanism, x: float) -> float:
     j = m.index_of(x)
-    xj = float(m.grid[j])
-    best = np.inf
-    for i in range(j + 1):
-        term = m.a[i] * xj + (1.0 - m.a[i]) * (m.grid[i] - m.r_empty[i])
-        if term < best:
-            best = term
-    return float(best)
+    return float(_menu_min(m.a[: j + 1], m.grid[j : j + 1], _menu_offsets(m)[: j + 1])[0])
 
 
 def report(m: Mechanism, env: Environment) -> MechanismReport:
@@ -210,19 +233,18 @@ def system_holds(grid, lam_values, a_values, env: Environment, tol: float = IC_T
     if grid.shape != lam.shape or grid.shape != a.shape:
         raise ValueError("grid, loss table and audit table must be aligned")
     phi = np.minimum((1.0 - a) * grid, lam + a * env.tau)
-    terms = np.outer(a, grid) + phi[:, None]
-    lowest = np.minimum.accumulate(terms, axis=0)  # over y <= x
-    slack = lowest.diagonal() - lam
+    slack = _menu_min(a, grid, phi) - lam
     bad = np.nonzero(slack < -tol)[0]
     violations = []
     for j in bad:
-        i = int(np.argmin(terms[: j + 1, j]))
+        terms = a[: j + 1] * grid[j] + phi[: j + 1]
+        i = int(np.argmin(terms))
         violations.append(
             {
                 "x": float(grid[j]),
                 "y": float(grid[i]),
                 "lhs": float(lam[j]),
-                "rhs": float(terms[i, j]),
+                "rhs": float(terms[i]),
             }
         )
     return CheckResult("refund-system", len(bad) == 0, violations)

@@ -53,8 +53,8 @@ class TightenReport:
 
 def _input_indices(grid_out: np.ndarray, grid_in: np.ndarray) -> np.ndarray:
     idx = np.searchsorted(grid_out, grid_in)
-    if not np.array_equal(grid_out[idx], grid_in):
-        raise RuntimeError("refined grid lost input grid points")
+    if idx[-1] == len(grid_out) or not np.array_equal(grid_out[idx], grid_in):
+        raise GuaranteeError("refined grid lost input grid points")
     return idx
 
 

@@ -19,6 +19,7 @@ from samurai import (
 from samurai.audit_schedule import AuditSchedule
 from samurai.pwl import PwlFunction
 
+from cli_harness import cli_env
 from conftest import build_on_types, make_env
 
 
@@ -69,7 +70,7 @@ def test_single_crossing_needs_two_points(env):
 
 def test_cli_entry_point_module_runs():
     res = subprocess.run(
-        [sys.executable, "-m", "samurai.cli", "--help"], capture_output=True, text=True
+        [sys.executable, "-m", "samurai.cli", "--help"], capture_output=True, text=True, env=cli_env()
     )
     assert res.returncode == 0
     for name in ("validate", "construct", "tighten", "check", "compare", "bruteforce", "export"):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,6 +20,7 @@ from samurai import (
     utility,
 )
 from samurai.environment import CostFn, Environment
+from samurai.mechanism import MENU_BLOCK
 
 from conftest import make_env, random_mechanism
 
@@ -193,6 +196,100 @@ class TestSystem:
                 rep = report(m, env)
                 assert rep.ic
                 assert system_holds(m.grid, rep.deviation_loss, m.a, env).passed
+
+
+def menu_tables(rng, n):
+    """Grid, audits and no-audit refunds with zero audits, full audits and
+    tied menu lines.
+
+    The grid and the gaps y - r_empty(y) are multiples of 1/64, so copying
+    the audit and the gap of the previous type gives an exactly tied line."""
+    grid = np.arange(n) / 64.0
+    kind = rng.integers(0, 3, n)
+    a = np.where(kind == 0, 0.0, np.where(kind == 1, 1.0, rng.uniform(0, 1, n)))
+    gap = rng.integers(-32, 32, n) / 64.0
+    for i in np.nonzero(rng.uniform(size=n) < 0.3)[0]:
+        if i > 0:
+            a[i], gap[i] = a[i - 1], gap[i - 1]
+    return grid, a, grid - gap
+
+
+def reference_lowest(grid, a, c):
+    """The running minimum over the full n x n table of menu terms."""
+    terms = np.outer(a, grid) + c[:, None]
+    return terms, np.minimum.accumulate(terms, axis=0).diagonal()
+
+
+def reference_system(grid, lam, a, env, tol=1e-9):
+    """Violations of the refund system by the argmin of each full column."""
+    phi = np.minimum((1.0 - a) * grid, lam + a * env.tau)
+    terms, lowest = reference_lowest(grid, a, phi)
+    violations = []
+    for j in np.nonzero(lowest - lam < -tol)[0]:
+        i = int(np.argmin(terms[: j + 1, j]))
+        violations.append({"x": float(grid[j]), "y": float(grid[i]), "lhs": float(lam[j]), "rhs": float(terms[i, j])})
+    return violations
+
+
+def same_bits(u, v):
+    return u.shape == v.shape and np.array_equal(u.view(np.int64), v.view(np.int64))
+
+
+def check_menu_kernel(seed, n):
+    rng = np.random.default_rng(seed)
+    grid, a, r_e = menu_tables(rng, n)
+    m = mech(grid, a, np.zeros(n), r_e)
+    table = deviation_loss_table(m)
+    _, lowest = reference_lowest(grid, a, (1.0 - a) * (grid - r_e))
+    assert same_bits(table, lowest)
+    for j in {0, n // 2, n - 1}:
+        assert same_bits(np.array([deviation_loss(m, float(grid[j]))]), table[j : j + 1])
+    # an IC mechanism's deviation loss satisfies the refund system; raising
+    # a tenth of its values breaks it at some of those points
+    env = make_env(tau=float(rng.choice([0.0, 0.5])))
+    m = random_mechanism(env, rng, n)
+    lam = deviation_loss_table(m) + np.where(rng.uniform(size=n) < 0.1, rng.uniform(0, 0.05, n), 0.0)
+    result = system_holds(m.grid, lam, m.a, env)
+    expected = reference_system(m.grid, lam, m.a, env)
+    assert result.violations == expected
+    assert result.passed == (not expected)
+
+
+class TestMenuKernel:
+    @pytest.mark.parametrize("n", [1, MENU_BLOCK - 1, MENU_BLOCK, MENU_BLOCK + 1, 2 * MENU_BLOCK + 1])
+    def test_block_edges_match_full_running_minimum(self, n):
+        for seed in range(3):
+            check_menu_kernel(seed, n)
+
+    @given(seed=st.integers(0, 10_000), n=st.integers(1, 3 * MENU_BLOCK + 5))
+    @settings(max_examples=30, deadline=None)
+    def test_random_sizes_match_full_running_minimum(self, seed, n):
+        check_menu_kernel(seed, n)
+
+    def test_violated_systems_report_column_argmin(self, env):
+        grid = np.linspace(0, 1, 2 * MENU_BLOCK + 1)
+        a = np.zeros_like(grid)
+        a[::7] = 1.0
+        lam = grid.copy()
+        lam[0] = 0.25  # above the identity: the only line at y = 0 is its own witness
+        result = system_holds(grid, lam, a, env)
+        assert not result.passed
+        assert result.violations[0] == {"x": 0.0, "y": 0.0, "lhs": 0.25, "rhs": 0.0}
+        assert result.violations == reference_system(grid, lam, a, env)
+
+    def test_memory_stays_linear(self, env):
+        n = 8001
+        rng = np.random.default_rng(3)
+        grid = np.linspace(0, 1, n)
+        m = mech(grid, rng.uniform(0, 1, n), np.zeros(n), rng.uniform(0, 1, n))
+        for run in (lambda: deviation_loss_table(m), lambda: system_holds(grid, np.zeros(n), m.a, env)):
+            tracemalloc.start()
+            try:
+                run()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 64 * 2**20
 
 
 def test_json_roundtrip_bit_identical(env):

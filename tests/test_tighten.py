@@ -1,7 +1,10 @@
+import importlib
+
 import numpy as np
 import pytest
 
 from samurai import (
+    GuaranteeError,
     Mechanism,
     PreconditionError,
     PwlFunction,
@@ -14,7 +17,9 @@ from samurai import (
     tighten,
     validate_lambda,
 )
+from samurai.cli import main as cli_main
 
+from cli_harness import GOLD
 from conftest import make_env, random_mechanism
 
 
@@ -77,6 +82,30 @@ class TestNamedCases:
         m = Mechanism(grid=grid, a=np.full(5, 1.2), r_p=np.zeros(5), r_empty=np.zeros(5))
         with pytest.raises(PreconditionError):
             tighten(m, env)
+
+
+@pytest.mark.parametrize("lost", ["middle", "last"])
+def test_lost_input_point_is_guarantee_error(lost, monkeypatch, capsys):
+    # a refined grid that drops an input grid point cannot carry the
+    # guarantees back to the input types; the CLI reports one error line
+    tighten_module = importlib.import_module("samurai.tighten")  # the package exports the function
+    merge_grid = tighten_module.merge_grid
+
+    def lossy_merge(grid, extras, env):
+        out = merge_grid(grid, extras, env)
+        return out[out != grid[len(grid) // 2 if lost == "middle" else -1]]
+
+    monkeypatch.setattr(tighten_module, "merge_grid", lossy_merge)
+    env = make_env()
+    with pytest.raises(GuaranteeError, match="lost input grid points"):
+        tighten(build_efficient(debt_loss(env, 0.5), env, 21), env)
+    code = cli_main(
+        ["tighten", "--env", str(GOLD / "env_lin.json"), "--mechanism", str(GOLD / "construct_debt.json")]
+    )
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == "error: refined grid lost input grid points\n"
 
 
 @pytest.mark.parametrize("scale", [1e-3, 1e3, 1e6])
