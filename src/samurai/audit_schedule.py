@@ -2,15 +2,19 @@
 
 Two chord suprema drive everything: the slope of the steepest chord from
 (y, y) to the graph (the no-refund threat) and the steepest ratio of loss
-gains to audited wealth (the maxed-out-refund threat).  Both ratios are
-monotone on each linear segment, so each supremum is attained at a slope
-kink, at the right endpoint, or in the open limit at y itself when the loss
-touches the identity.  Evaluation is therefore exact on breakpoints.
+gains to audited wealth, i.e. the slope from (-tau, loss(y)) (the maxed-out-
+refund threat).  Both ratios are monotone on each linear segment, so each
+supremum is attained at a breakpoint right of y, or in the open limit at y
+itself when the loss touches the identity.  Evaluation is therefore exact
+on breakpoints.
 
-For dense tables queried at their own grid the candidate set is thinned to
-the detected kinks plus a short band of points after each query; a kink can
-only evade detection when adjacent slopes differ by less than 1e-9, and the
-band keeps the induced error below 1e-8.
+Both reference points lie left of every candidate breakpoint, so each
+supremum is the tangent from that point to the upper convex hull of the
+breakpoints right of y, and along that hull the slope from the point rises
+to the tangent vertex and falls after it.  One right-to-left monotone-chain
+pass (Andrew 1979) links every breakpoint to the next vertex of its
+suffix's upper hull; jump tables over those links find each tangent in
+O(log n) steps, for any table and any query set, in O(n log n) memory.
 """
 
 from __future__ import annotations
@@ -29,14 +33,8 @@ from .pwl import PwlFunction
 # the right-hand slope at y as a supremum candidate.
 IDENTITY_EQ_TOL = 1e-12
 
-# Resolution of the crossover bisection.
+# Resolution of the crossover search.
 CROSSOVER_XTOL = 1e-10
-
-# Tables larger than this, queried at their own grid, use the thinned
-# candidate set; anything else takes the dense all-pairs path.
-DENSE_LIMIT = 160
-KINK_SLOPE_TOL = 1e-9
-BAND_WIDTH = 32
 
 # Breakpoints within this (scaled) distance of a query are float-noise
 # duplicates of the query itself: they are excluded as chord candidates and
@@ -78,23 +76,37 @@ class AuditSchedule:
         """Schedule over the interpolant of a sampled loss table."""
         return cls(pwl=PwlFunction(np.asarray(grid, float), np.asarray(values, float)), env=env)
 
-    # -- candidate machinery -------------------------------------------------
+    # -- suffix hulls and tangents -------------------------------------------
 
     @cached_property
     def _slopes(self) -> np.ndarray:
         return self.pwl.slopes()
 
     @cached_property
-    def _candidate_idx(self) -> np.ndarray:
-        """Breakpoint indices where the supremum can be attained: slope kinks
-        and the right endpoint."""
-        n = len(self.pwl.xs)
-        slopes = self._slopes
-        if len(slopes) >= 2:
-            kinks = np.nonzero(np.abs(np.diff(slopes)) > KINK_SLOPE_TOL)[0] + 1
-        else:
-            kinks = np.empty(0, dtype=int)
-        return np.unique(np.concatenate([kinks, [n - 1]]))
+    def _hull(self) -> np.ndarray:
+        """Jump tables over the upper hulls of the breakpoint suffixes.
+
+        Row 0 links breakpoint k to the next vertex of the upper hull of
+        breakpoints k..n-1 (the last breakpoint links to itself); row j
+        jumps 2**j hull vertices.  The pop test compares float slopes, the
+        quantity the tangent search compares, not cross products.
+        """
+        xs, vs = self.pwl.xs.tolist(), self.pwl.vs.tolist()
+        n = len(xs)
+        nxt = [n - 1] * n
+        edge = [0.0] * n  # slope from k to nxt[k]
+        stack = [n - 1]
+        for k in range(n - 2, -1, -1):
+            xk, vk = xs[k], vs[k]
+            while len(stack) > 1 and (vs[stack[-1]] - vk) / (xs[stack[-1]] - xk) <= edge[stack[-1]]:
+                stack.pop()
+            a = stack[-1]
+            nxt[k], edge[k] = a, (vs[a] - vk) / (xs[a] - xk)
+            stack.append(k)
+        jumps = [np.array(nxt)]
+        while len(jumps) < (n - 1).bit_length():  # ceil(log2 n) levels
+            jumps.append(jumps[-1][jumps[-1]])
+        return np.stack(jumps)
 
     def _check_y(self, ys: np.ndarray):
         slack = 1e-9 * max(1.0, self.env.span)
@@ -109,43 +121,31 @@ class AuditSchedule:
         seg = np.clip(np.searchsorted(xs, ys + snap, side="right") - 1, 0, len(xs) - 2)
         return self._slopes[seg]
 
-    def _aligned(self, ys: np.ndarray) -> bool:
-        xs = self.pwl.xs
-        return ys is xs or (len(ys) == len(xs) and bool(np.array_equal(ys, xs)))
-
-    def _sup_ratio(self, ys: np.ndarray, offsets, kind: str) -> np.ndarray:
-        """max over candidate points of the alpha- or beta-ratio at each y."""
+    def _sup_ratio(self, ys: np.ndarray, kind: str) -> np.ndarray:
+        """Steepest slope from the alpha or beta reference point at each y to
+        a breakpoint right of y; -inf where there is none."""
         xs, vs = self.pwl.xs, self.pwl.vs
-        ref = ys if kind == "alpha" else self.pwl.eval(ys)
-        snap = QUERY_SNAP_TOL * max(1.0, self.env.span)
-
-        def ratios(xc, vc):
-            # xc, vc: candidates broadcast against ys (columns)
-            num = vc - ref[None, :]
-            if kind == "alpha":
-                den = xc - ys[None, :]
-                valid = den > snap
-            else:
-                den = xc + self.env.tau
-                valid = (xc > ys[None, :] + snap) & (den > 0)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                return np.where(valid, num / np.where(valid, den, 1.0), -np.inf)
-
-        if offsets is None:  # dense: every breakpoint is a candidate
-            r = ratios(xs[:, None], vs[:, None])
-            return r.max(axis=0)
-
-        # thinned: kink candidates plus a band after each query
-        cand = self._candidate_idx
-        r_kink = ratios(xs[cand][:, None], vs[cand][:, None])
-        best = r_kink.max(axis=0)
         n = len(xs)
-        j = np.arange(n)
-        for w in range(1, offsets + 1):
-            idx = np.minimum(j + w, n - 1)
-            r_band = ratios(xs[idx][None, :], vs[idx][None, :])[0]
-            best = np.maximum(best, r_band)
-        return best
+        snap = QUERY_SNAP_TOL * max(1.0, self.env.span)
+        start = np.searchsorted(xs, ys + snap, side="right")
+        px, py = (ys, ys) if kind == "alpha" else (-self.env.tau, self.pwl.eval(ys))
+        jumps = self._hull
+
+        def ratio(k):
+            return (vs[k] - py) / (xs[k] - px)
+
+        def rises(k):
+            return ratio(jumps[0][k]) > ratio(k)
+
+        with np.errstate(divide="ignore", invalid="ignore"):
+            # descend to the last hull vertex from which the slope still
+            # rises; the tangent vertex is the one after it
+            cur = np.minimum(start, n - 1)
+            for level in jumps[::-1]:
+                cand = level[cur]
+                cur = np.where(rises(cand), cand, cur)
+            cur = np.where(rises(cur), jumps[0][cur], cur)
+            return np.where(start < n, ratio(cur), -np.inf)
 
     # -- the two suprema ------------------------------------------------------
 
@@ -155,8 +155,7 @@ class AuditSchedule:
         ys = np.atleast_1d(np.asarray(ys, dtype=float))
         self._check_y(ys)
         span = max(1.0, self.env.span)
-        use_band = len(self.pwl.xs) > DENSE_LIMIT and self._aligned(ys)
-        best = self._sup_ratio(ys, BAND_WIDTH if use_band else None, "alpha")
+        best = self._sup_ratio(ys, "alpha")
         ly = self.pwl.eval(ys)
         on_id = np.abs(ly - ys) <= IDENTITY_EQ_TOL * span
         if np.any(on_id):
@@ -169,8 +168,7 @@ class AuditSchedule:
         audit refund is maxed out: steepest loss gain per unit audited wealth."""
         ys = np.atleast_1d(np.asarray(ys, dtype=float))
         self._check_y(ys)
-        use_band = len(self.pwl.xs) > DENSE_LIMIT and self._aligned(ys)
-        best = self._sup_ratio(ys, BAND_WIDTH if use_band else None, "beta")
+        best = self._sup_ratio(ys, "beta")
         out = np.clip(np.maximum(best, 0.0), 0.0, 1.0)  # the x = y term is 0
         return np.where(ys >= self.env.x_hi, 0.0, out)
 
@@ -198,25 +196,25 @@ class AuditSchedule:
         """The type above which the binding deterrence instrument switches
         from withholding the no-audit refund to maxing out the audit refund.
 
-        Located as the right edge of {alpha > beta} by bisection to 1e-10;
-        x_lo when the strict set is empty, x_hi when it reaches the top.
+        Located as the right edge of {alpha > beta} to 1e-10 * max(1, x_hi),
+        by rescanning the bracket at the scan grid's length; x_lo when the
+        strict set is empty, x_hi when it reaches the top.
         """
+        xtol = CROSSOVER_XTOL * max(1.0, self.env.x_hi)  # above the float spacing
+        lo, hi = self.env.x_lo, self.env.x_hi
         grid = self._scan_grid()
-        d = self.alpha_table(grid) - self.beta_table(grid)
-        pos = np.nonzero(d > 0.0)[0]
-        if len(pos) == 0:
-            return self.env.x_lo
-        i = int(pos[-1])
-        if i == len(grid) - 1:
-            return self.env.x_hi
-        lo, hi = float(grid[i]), float(grid[i + 1])
-        while hi - lo > CROSSOVER_XTOL:
-            mid = 0.5 * (lo + hi)
-            if self.alpha(mid) - self.beta(mid) > 0.0:
-                lo = mid
-            else:
-                hi = mid
-        return 0.5 * (lo + hi)
+        while True:
+            d = self.alpha_table(grid) - self.beta_table(grid)
+            pos = np.nonzero(d > 0.0)[0]
+            if len(pos) == 0:
+                return lo
+            i = int(pos[-1])
+            if i == len(grid) - 1:
+                return hi
+            lo, hi = float(grid[i]), float(grid[i + 1])
+            if hi - lo <= xtol:
+                return 0.5 * (lo + hi)
+            grid = np.linspace(lo, hi, len(grid))
 
     def check_single_crossing(self, grid_size: int) -> SingleCrossingReport:
         """Verify the difference alpha - beta never turns positive after

@@ -107,7 +107,9 @@ def _core_clauses(m: Mechanism, env: Environment, rep: MechanismReport, tol: flo
     )
 
     schedule = AuditSchedule.from_table(m.grid, lam_m, env)
-    minimal = schedule.audit_prob_table(m.grid)
+    alpha = schedule.alpha_table(m.grid)
+    beta = schedule.beta_table(m.grid)
+    minimal = np.maximum(alpha, beta)
     agap = np.abs(m.a - minimal)
     j = int(np.argmax(agap))
     clause_a = Clause(
@@ -117,7 +119,7 @@ def _core_clauses(m: Mechanism, env: Environment, rep: MechanismReport, tol: flo
         if agap[j] <= tol
         else {"y": float(m.grid[j]), "a": float(m.a[j]), "minimal": float(minimal[j])},
     )
-    return [clause_shape, clause_rev, clause_a], schedule
+    return [clause_shape, clause_rev, clause_a], alpha, beta
 
 
 def certify_efficient(
@@ -129,7 +131,7 @@ def certify_efficient(
     refutes both efficiency and tightness.
     """
     rep = _require_mechanism(m, env, rep)
-    clauses, _ = _core_clauses(m, env, rep, tol)
+    clauses, _, _ = _core_clauses(m, env, rep, tol)
     verdict = CERTIFIED_EFFICIENT if all(c.passed for c in clauses) else REFUTED
     return Certificate(verdict=verdict, clauses=clauses)
 
@@ -145,10 +147,7 @@ def certify_tight_necessary(
     does not refute.  Never returns a "certified tight" verdict.
     """
     rep = _require_mechanism(m, env, rep)
-    clauses, schedule = _core_clauses(m, env, rep, tol)
-
-    alpha = schedule.alpha_table(m.grid)
-    beta = schedule.beta_table(m.grid)
+    clauses, alpha, beta = _core_clauses(m, env, rep, tol)
     margin = 1e-9
     bad_empty = np.nonzero((alpha - beta > margin) & (m.r_empty > tol))[0]
     clause_empty = Clause(

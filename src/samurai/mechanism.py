@@ -40,6 +40,9 @@ class Mechanism:
             raise ValueError("grid and tables must be aligned 1-d arrays")
         if len(grid) < 1:
             raise ValueError("mechanism needs at least one grid point")
+        for name, arr in (("grid", grid), ("a", a), ("r_p", r_p), ("r_empty", r_empty)):
+            if not np.isfinite(arr).all():
+                raise ValueError(f"{name} must be finite")
         if np.any(np.diff(grid) <= 0):
             raise ValueError("grid must be strictly increasing")
         for arr in (grid, a, r_p, r_empty):

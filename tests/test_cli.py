@@ -94,3 +94,20 @@ def test_guarantee_error_is_one_line(monkeypatch, capsys):
     assert code == 1
     assert captured.out == ""
     assert captured.err == "error: tightening guarantee violated: profit fell by 1e-06\n"
+
+
+@pytest.mark.parametrize("extra", [
+    ["check"],
+    ["compare", "--mechanism", str(GOLD / "construct_debt.json")],
+    ["bruteforce", "--types", "0,0.5,1", "--q", "1"],
+], ids=["check", "compare", "bruteforce"])
+def test_non_finite_mechanism_is_one_line(tmp_path, capsys, extra):
+    data = json.loads((GOLD / "construct_debt.json").read_text())
+    data["a"][0] = float("nan")
+    bad = tmp_path / "nan.json"
+    bad.write_text(json.dumps(data))
+    code = cli.main([extra[0], "--env", str(GOLD / "env_lin.json"), "--mechanism", str(bad), *extra[1:]])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == "error: a must be finite\n"

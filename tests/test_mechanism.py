@@ -149,6 +149,16 @@ class TestFeasibility:
         m = uniform_mech(a=1.2)
         assert not check_feasible(m, env).passed
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name", ["grid", "a", "r_p", "r_empty"])
+    def test_non_finite_entry_rejected(self, name, bad):
+        tables = uniform_mech(n=5).to_dict()
+        for i in range(5):
+            tables[name][i], kept = bad, tables[name][i]
+            with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+                Mechanism.from_dict(tables)
+            tables[name][i] = kept
+
 
 class TestIC:
     def test_audit_everything_full_seizure_ic(self, env):
