@@ -130,10 +130,7 @@ def certify_efficient(
     All three core clauses passing is sufficient for efficiency; any failure
     refutes both efficiency and tightness.
     """
-    rep = _require_mechanism(m, env, rep)
-    clauses, _, _ = _core_clauses(m, env, rep, tol)
-    verdict = CERTIFIED_EFFICIENT if all(c.passed for c in clauses) else REFUTED
-    return Certificate(verdict=verdict, clauses=clauses)
+    return _efficient(_core_clauses(m, env, _require_mechanism(m, env, rep), tol))
 
 
 def certify_tight_necessary(
@@ -146,8 +143,26 @@ def certify_tight_necessary(
     revenue, utility, or audits, so a deviation from the canonical pattern
     does not refute.  Never returns a "certified tight" verdict.
     """
-    rep = _require_mechanism(m, env, rep)
-    clauses, alpha, beta = _core_clauses(m, env, rep, tol)
+    return _tight_necessary(m, env, _core_clauses(m, env, _require_mechanism(m, env, rep), tol), tol)
+
+
+def certify_both(
+    m: Mechanism, env: Environment, rep: MechanismReport | None = None, tol: float = CERT_TOL
+) -> tuple[Certificate, Certificate]:
+    """``certify_efficient`` and ``certify_tight_necessary`` of ``m`` from one
+    evaluation of the core clauses they share."""
+    core = _core_clauses(m, env, _require_mechanism(m, env, rep), tol)
+    return _efficient(core), _tight_necessary(m, env, core, tol)
+
+
+def _efficient(core) -> Certificate:
+    clauses, _, _ = core
+    verdict = CERTIFIED_EFFICIENT if all(c.passed for c in clauses) else REFUTED
+    return Certificate(verdict=verdict, clauses=clauses)
+
+
+def _tight_necessary(m: Mechanism, env: Environment, core, tol: float) -> Certificate:
+    clauses, alpha, beta = core
     margin = 1e-9
     bad_empty = np.nonzero((alpha - beta > margin) & (m.r_empty > tol))[0]
     clause_empty = Clause(
@@ -168,7 +183,7 @@ def certify_tight_necessary(
         else {"y": float(m.grid[bad_p[0]]), "r_p": float(m.r_p[bad_p[0]]), "cap": float(cap[bad_p[0]])},
         informational=True,
     )
-    clauses.extend([clause_empty, clause_p])
+    clauses = [*clauses, clause_empty, clause_p]
     core_ok = all(c.passed for c in clauses if not c.informational)
     verdict = TIGHT_NECESSARY if core_ok else REFUTED
     return Certificate(verdict=verdict, clauses=clauses)

@@ -63,19 +63,13 @@ class RunConfig:
     mode: str = "efficiency"
 
 
-def _fmt(v: float) -> str:
-    return f"{float(v):.12g}"
-
-
 def _dump_json(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
 def _csv(header, columns) -> str:
-    lines = [",".join(header)]
-    n = len(columns[0])
-    for i in range(n):
-        lines.append(",".join(_fmt(col[i]) for col in columns))
+    row = ",".join(["%.12g"] * len(columns))  # one format per row
+    lines = [",".join(header)] + [row % tuple(values) for values in np.column_stack(columns).tolist()]
     return "\n".join(lines) + "\n"
 
 
@@ -205,10 +199,7 @@ def _cmd_check(config: RunConfig) -> int:
     env = _load_env(config)
     m = _load_mechanism(_need(config.mechanism_paths, "--mechanism")[0])
     tol = config.tol if config.tol is not None else certify.CERT_TOL
-    # one report for both certificates; the first refuses an infeasible mechanism
-    rep = report(m, env) if check_feasible(m, env).passed else None
-    eff = certify.certify_efficient(m, env, rep=rep, tol=tol)
-    tight = certify.certify_tight_necessary(m, env, rep=rep, tol=tol)
+    eff, tight = certify.certify_both(m, env, tol=tol)
     _emit(_dump_json({"efficient": eff.to_dict(), "tightness_necessary": tight.to_dict()}), config.out)
     return EXIT_OK if eff.verdict == certify.CERTIFIED_EFFICIENT else EXIT_NEGATIVE
 

@@ -6,6 +6,11 @@ dominance condition are dropped before the scan, and the scan drops every
 partial candidate that already fails IC.  Verdicts are certified only
 within the lattice; the instance description is part of the result so the
 finite scope stays explicit.
+
+Everything that depends on the instance alone (its lattices, option tables
+and their per-option revenue, profit and menu lines) is built once, when
+the instance is made, and is read-only; a verdict rounds its target, filters
+those tables and scans.
 """
 
 from __future__ import annotations
@@ -23,14 +28,30 @@ ENUM_LIMIT = 1e8
 LATTICE_EQ_TOL = 1e-9
 
 
+def _frozen(arr) -> np.ndarray:
+    arr = np.asarray(arr, dtype=float)
+    arr.setflags(write=False)
+    return arr
+
+
 @dataclass(frozen=True)
 class DiscreteInstance:
-    """A finite type set with audit and refund lattices."""
+    """A finite type set with audit and refund lattices.
+
+    The lattices, the option tables and each option's revenue, profit and
+    menu lines are built once in the constructor and are read-only, so one
+    instance serves any number of verdicts.
+    """
 
     types: tuple
     q: int
     refund_levels: int
     env: Environment
+    _audit: np.ndarray = field(init=False, repr=False, compare=False)
+    _refunds: tuple = field(init=False, repr=False, compare=False)  # refund lattice per type
+    _levels: np.ndarray = field(init=False, repr=False, compare=False)  # type x level lattice matrix
+    _tables: tuple = field(init=False, repr=False, compare=False)  # per type: options, R, Pi, lines
+    _limit: float = field(init=False, repr=False, compare=False)  # default rounding limit
 
     def __post_init__(self):
         types = tuple(float(t) for t in self.types)
@@ -44,30 +65,49 @@ class DiscreteInstance:
             raise ValueError("audit lattice resolution q must be in [1, 10]")
         if not 2 <= self.refund_levels <= 11:
             raise ValueError("refund lattice needs 2 to 11 levels")
+        audit = _frozen(np.linspace(0.0, 1.0, self.q + 1))
+        caps = [y + self.env.tau for y in types]
+        refunds = tuple(
+            _frozen(np.unique(np.linspace(0.0, cap, self.refund_levels)) if cap > 0 else [0.0]) for cap in caps
+        )
         object.__setattr__(self, "types", types)
+        object.__setattr__(self, "_audit", audit)
+        object.__setattr__(self, "_refunds", refunds)
         estimate = self.candidate_count()
         if estimate > ENUM_LIMIT:
             raise InstanceSizeError(estimate, ENUM_LIMIT)
 
+        grid = np.asarray(types)
+        tables = []
+        for t, lat in enumerate(refunds):
+            options = np.asarray(list(itertools.product(audit, lat, lat)), dtype=float)
+            a, rp, re = options.T
+            R = _revenue(grid[t], a, rp, re)
+            lines = a[:, None] * grid + (1.0 - a[:, None]) * (grid[t] - re[:, None])
+            tables.append(tuple(map(_frozen, (options, R, R - cost_eval(self.env.cost, a), lines))))
+        # rows shorter than the widest lattice repeat their last point
+        width = np.arange(max(map(len, refunds)))
+        levels = [lat[np.minimum(width, len(lat) - 1)] for lat in refunds]
+        steps = [np.min(np.diff(lat)) for lat in (audit, *refunds) if len(lat) > 1]
+        object.__setattr__(self, "_levels", _frozen(levels))
+        object.__setattr__(self, "_tables", tuple(tables))
+        object.__setattr__(self, "_limit", 0.5 * min(steps) + 1e-12)
+
     def audit_lattice(self) -> np.ndarray:
-        return np.linspace(0.0, 1.0, self.q + 1)
+        return self._audit
 
     def refund_lattice(self, y: float) -> np.ndarray:
-        cap = y + self.env.tau
-        if cap <= 0:
-            return np.array([0.0])
-        return np.unique(np.linspace(0.0, cap, self.refund_levels))
+        """The refund lattice [0, y + tau] at ``y``, one of the instance's types."""
+        return self._refunds[self.types.index(float(y))]
 
     def options(self, t: int):
         """Lexicographic per-type option table: columns (a, r_p, r_empty)."""
-        lat = self.refund_lattice(self.types[t])
-        return np.asarray(list(itertools.product(self.audit_lattice(), lat, lat)), dtype=float)
+        return self._tables[t][0]
 
     def candidate_count(self) -> float:
         total = 1.0
-        for t in range(len(self.types)):
-            levels = len(self.refund_lattice(self.types[t]))
-            total *= (self.q + 1) * levels * levels
+        for lat in self._refunds:
+            total *= (self.q + 1) * len(lat) * len(lat)
         return total
 
 
@@ -150,6 +190,23 @@ def _round_to_lattice(values: np.ndarray, lattice: np.ndarray):
     return rounded, float(np.max(np.abs(rounded - values), initial=0.0))
 
 
+def _round_per_type(values: np.ndarray, levels: np.ndarray):
+    """``_round_to_lattice`` of every ``values[..., t]`` to row t of ``levels``
+    (the type x level lattice matrix) in one call.
+
+    Counting the points below a value gives ``searchsorted``'s left insertion
+    point, and the nearer of its two neighbours wins, a tie going to the upper
+    one.  A row shorter than the widest lattice repeats its last point, which
+    adds only neighbours equal to that point, so every row acts as its own
+    lattice.
+    """
+    idx = np.minimum(np.sum(levels < values[..., None], axis=-1), levels.shape[-1] - 1)
+    rows = np.arange(len(levels))
+    upper, lower = levels[rows, idx], levels[rows, np.maximum(idx - 1, 0)]
+    rounded = np.where(np.abs(upper - values) <= np.abs(lower - values), upper, lower)
+    return rounded, float(np.max(np.abs(rounded - values), initial=0.0))
+
+
 def _chunk_blocks(option_tables, max_block: int = 200_000):
     """Split the candidate product into blocks of trailing-type combinations."""
     counts = [len(t) for t in option_tables]
@@ -158,32 +215,30 @@ def _chunk_blocks(option_tables, max_block: int = 200_000):
     while split < len(counts) - 1 and trail > max_block:
         trail //= counts[split]
         split += 1
-    return split, list(itertools.product(*[range(c) for c in counts[:split]]))
+    return split, list(np.ndindex(*counts[:split]))
 
 
-def _first_dominator(types, tables, mode, cost, target):
+def _first_dominator(tables, mode, target):
     """Options (rows a, r_p, r_empty) of the lexicographically first IC
     candidate in the product of ``tables`` strictly better than ``target``, or None.
 
-    IC at a type speaks about that type's option and those below it only, so
-    the product grows one type at a time and drops every prefix that fails
-    it.  A prefix carries the cheapest menu line of its options at each type
-    and whether it beats the target strictly somewhere.
+    ``tables`` holds per type the options and their revenue, profit and menu
+    lines at every type.  IC at a type speaks about that type's option and
+    those below it only, so the product grows one type at a time and drops
+    every prefix that fails it.  A prefix carries the cheapest menu line of
+    its options at each type and whether it beats the target strictly somewhere.
     """
     R_t, a_hat, Pi_t, lam_t = target
     eps = LATTICE_EQ_TOL
     rows = np.zeros((1, 0), dtype=np.intp)  # option index per type of each kept prefix
-    floor = np.full((1, len(types)), np.inf)
+    floor = np.full((1, len(tables)), np.inf)
     strict = np.zeros(1, dtype=bool)
-    for t, tab in enumerate(tables):
-        a, rp, re = tab.T
-        R = _revenue(types[t], a, rp, re)
-        lines = a[:, None] * types + (1.0 - a[:, None]) * (types[t] - re[:, None])
+    for t, (options, R, Pi, lines) in enumerate(tables):
         lam = np.minimum(floor[:, t : t + 1], lines[:, t])
         if mode == "efficiency":
-            better = (R - R_t[t] > eps) | (a_hat[t] - a > eps)
+            better = (R - R_t[t] > eps) | (a_hat[t] - options[:, 0] > eps)
         else:
-            better = (R - cost_eval(cost, a) - Pi_t[t] > eps) | (lam - lam_t[t] > eps)
+            better = (Pi - Pi_t[t] > eps) | (lam - lam_t[t] > eps)
         strict = strict[:, None] | better
         ok = (lam >= R - eps) & (strict if t == len(tables) - 1 else True)  # a full candidate must gain
         p, c = np.nonzero(ok)  # row-major, so the prefixes stay in lexicographic order
@@ -192,7 +247,7 @@ def _first_dominator(types, tables, mode, cost, target):
         rows = np.column_stack([rows[p], c])
         floor = np.minimum(floor[p], lines[c])
         strict = strict[p, c]
-    return np.array([tab[i] for tab, i in zip(tables, rows[0])])
+    return np.array([options[i] for (options, *_), i in zip(tables, rows[0])])
 
 
 def is_undominated(
@@ -214,17 +269,10 @@ def is_undominated(
     if len(m.grid) != len(types) or np.max(np.abs(m.grid - types)) > 1e-9:
         raise ValueError("mechanism grid must equal the instance type set")
 
-    a_lat = inst.audit_lattice()
-    a_hat, rounding_error = _round_to_lattice(m.a, a_lat)
-    rp_hat, re_hat = m.r_p.astype(float), m.r_empty.astype(float)
-    steps = list(np.diff(a_lat))
-    for t in range(len(types)):
-        lat = inst.refund_lattice(types[t])
-        for hat in (rp_hat, re_hat):
-            hat[t : t + 1], err = _round_to_lattice(hat[t : t + 1], lat)
-            rounding_error = max(rounding_error, err)
-        steps += list(np.diff(lat))
-    limit = max_rounding if max_rounding is not None else 0.5 * min(steps) + 1e-12
+    a_hat, audit_error = _round_to_lattice(m.a, inst.audit_lattice())
+    (rp_hat, re_hat), refund_error = _round_per_type(np.stack([m.r_p, m.r_empty]), inst._levels)
+    rounding_error = max(audit_error, refund_error)
+    limit = max_rounding if max_rounding is not None else inst._limit
     if rounding_error > limit:
         raise RoundingError(
             f"rounding error {rounding_error:.3g} exceeds {limit:.3g}; "
@@ -240,29 +288,27 @@ def is_undominated(
     # Every dominance condition speaks about one type's option alone, so each
     # option table is filtered first; only IC and strictness couple the types.
     # Filtering keeps lexicographic order, hence the same first witness.
-    option_tables = [inst.options(t) for t in range(len(types))]
-    counts = [len(table) for table in option_tables]
     keep = []
-    for t, table in enumerate(option_tables):
-        a, rp, re = table.T.copy()
-        r = _revenue(types[t], a, rp, re)
+    for t, (options, R, Pi, lines) in enumerate(inst._tables):
         if mode == "efficiency":
-            ok = (r >= R_t[t] - eps) & (a <= a_hat[t] + eps)
+            ok = (R >= R_t[t] - eps) & (options[:, 0] <= a_hat[t] + eps)
         else:
-            ok = r - cost_eval(inst.env.cost, a) >= Pi_t[t] - eps
             # lambda_j is a minimum over menu lines, so it clears a floor
             # iff every line entering it does, among them this type's
-            menu = a[:, None] * types[t:] + (1.0 - a[:, None]) * (types[t] - re[:, None])
-            ok &= np.all(menu >= lam_t[t:] - eps, axis=1)
+            ok = (Pi >= Pi_t[t] - eps) & np.all(lines[:, t:] >= lam_t[t:] - eps, axis=1)
         keep.append(np.nonzero(ok)[0])
-    survivors = [table[k] for table, k in zip(option_tables, keep)]
+    survivors = [tuple(arr[k] for arr in table) for table, k in zip(inst._tables, keep)]
 
-    split, blocks = _chunk_blocks(survivors)
+    counts = [len(table[0]) for table in inst._tables]
+    split, blocks = _chunk_blocks([options for options, *_ in survivors])
     checked = int(np.prod(counts))
     witness = None
     for b, lead in enumerate(blocks):
-        tables = [tab[lead[t] : lead[t] + 1] if t < split else tab for t, tab in enumerate(survivors)]
-        found = _first_dominator(types, tables, mode, inst.env.cost, (R_t, a_hat, Pi_t, lam_t))
+        tables = [
+            tuple(arr[lead[t] : lead[t] + 1] for arr in table) if t < split else table
+            for t, table in enumerate(survivors)
+        ]
+        found = _first_dominator(tables, mode, (R_t, a_hat, Pi_t, lam_t))
         if found is not None:
             witness = Mechanism(grid=types.copy(), a=found[:, 0], r_p=found[:, 1], r_empty=found[:, 2])
             if b + 1 < len(blocks):

@@ -6,6 +6,7 @@ from samurai import (
     Mechanism,
     PreconditionError,
     build_efficient,
+    certify_both,
     certify_efficient,
     certify_tight_necessary,
     compare_efficiency,
@@ -83,6 +84,31 @@ class TestCertifyTightNecessary:
     def test_refuted_mechanism(self, env):
         cert = certify_tight_necessary(wasteful_debt(env), env)
         assert cert.verdict == REFUTED
+
+
+class TestCertifyBoth:
+    def test_equals_the_separate_certificates(self, env_tau):
+        rng = np.random.default_rng(72)
+        built = build_efficient(debt_loss(env_tau, 0.5), env_tau, 101)
+        mechanisms = [built, tighten(built, env_tau).mechanism_out, wasteful_debt(env_tau)]
+        mechanisms += [random_mechanism(env_tau, rng, n=61) for _ in range(4)]
+        verdicts = set()
+        for m in mechanisms:
+            eff, tight = certify_both(m, env_tau)
+            assert eff.to_dict() == certify_efficient(m, env_tau).to_dict()
+            assert tight.to_dict() == certify_tight_necessary(m, env_tau).to_dict()
+            assert len(eff.clauses) == 3  # the shared core clauses stay the efficiency certificate's own
+            verdicts |= {eff.verdict, tight.verdict}
+        assert {CERTIFIED_EFFICIENT, TIGHT_NECESSARY, REFUTED} <= verdicts
+
+    def test_refuses_what_the_certificates_refuse(self, env):
+        n = 11
+        grid = np.linspace(0, 1, n)
+        not_ic = Mechanism(grid=grid, a=np.zeros(n), r_p=np.zeros(n), r_empty=np.zeros(n))
+        infeasible = Mechanism(grid=grid, a=np.full(n, 2.0), r_p=np.zeros(n), r_empty=np.zeros(n))
+        for m in (not_ic, infeasible):
+            with pytest.raises(PreconditionError):
+                certify_both(m, env)
 
 
 class TestCompare:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cli_harness import GOLD, GOLDEN_CASES, run_cli
-from samurai import GuaranteeError, Mechanism, cli
+from samurai import GuaranteeError, Mechanism, certify, cli
 
 
 @pytest.mark.parametrize("expect_code,golden,argv", GOLDEN_CASES, ids=[c[1] for c in GOLDEN_CASES])
@@ -111,3 +111,30 @@ def test_non_finite_mechanism_is_one_line(tmp_path, capsys, extra):
     assert code == 1
     assert captured.out == ""
     assert captured.err == "error: a must be finite\n"
+
+
+def test_csv_rows_match_per_value_format():
+    rng = np.random.default_rng(12)
+    n = 500
+    columns = [rng.normal(size=n) * 10.0 ** rng.integers(-20, 21, n) for _ in range(9)]
+    columns[0][:6] = [0.0, -0.0, 1e16, -1e16, 5e-324, 0.1 + 0.2]
+    columns.append(np.arange(n))  # an integer column prints like its floats
+    header = [f"c{i}" for i in range(len(columns))]
+    rows = [",".join(f"{float(col[i]):.12g}" for col in columns) for i in range(n)]
+    assert cli._csv(header, columns) == "\n".join([",".join(header)] + rows) + "\n"
+
+
+def test_check_computes_core_clauses_once(tmp_path, monkeypatch):
+    calls = []
+    core_clauses = certify._core_clauses
+
+    def counted(*args):
+        calls.append(args)
+        return core_clauses(*args)
+
+    monkeypatch.setattr(certify, "_core_clauses", counted)
+    for golden, mechanism in (("check_debt.json", "construct_debt.json"), ("check_wasteful.json", "mech_wasteful.json")):
+        out = tmp_path / golden
+        cli.main(["check", "--env", str(GOLD / "env_lin.json"), "--mechanism", str(GOLD / mechanism), "--out", str(out)])
+        assert out.read_bytes() == (GOLD / golden).read_bytes()
+    assert len(calls) == 2

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from samurai import (
     Environment,
     InstanceSizeError,
     Mechanism,
+    RoundingError,
     bruteforce_deviation_loss,
     check_feasible,
     check_ic,
@@ -16,7 +19,8 @@ from samurai import (
     enumerate_feasible_ic,
     is_undominated,
 )
-from samurai.oracle import LATTICE_EQ_TOL
+from samurai import oracle
+from samurai.oracle import LATTICE_EQ_TOL, _round_per_type, _round_to_lattice
 
 from conftest import build_on_types, make_env
 
@@ -248,3 +252,175 @@ class TestPrunedScanEquivalence:
         assert_same_verdict(verdict, reference_witness(m, inst, "efficiency"))
         assert verdict.witness.a[0] == 0.0
         assert verdict.candidates_checked == np.ravel_multi_index((1, 0, 0, 0), counts) == 125_000
+
+
+def per_value_rounding(values, inst):
+    """``_round_to_lattice`` applied to one value at a time, ``values[..., t]``
+    against the refund lattice of type t."""
+    out = np.empty_like(values)
+    error = 0.0
+    for idx in np.ndindex(values.shape):
+        rounded, err = _round_to_lattice(np.array([values[idx]]), inst.refund_lattice(inst.types[idx[-1]]))
+        out[idx] = rounded[0]
+        error = max(error, err)
+    return out, error
+
+
+class TestRoundPerType:
+    def test_midpoints_tie_to_the_upper_point(self):
+        # binary fractions: every lattice point and midpoint is exact
+        inst = DiscreteInstance(types=(0.0, 1.0), q=1, refund_levels=4, env=make_env(tau=0.5))
+        lat = inst.refund_lattice(1.0)
+        assert np.array_equal(lat, [0.0, 0.5, 1.0, 1.5])
+        mids = (lat[:-1] + lat[1:]) / 2
+        values = np.zeros((len(mids), 2))
+        values[:, 1] = mids
+        rounded, error = _round_per_type(values, inst._levels)
+        assert np.array_equal(rounded[:, 1], lat[1:])
+        assert error == 0.25
+        assert np.array_equal(rounded, per_value_rounding(values, inst)[0])
+
+    @pytest.mark.parametrize("tau", [0.0, 0.5])
+    @pytest.mark.parametrize("levels", [2, 3, 5, 11])
+    def test_matches_per_value_rule(self, tau, levels):
+        # lattice points, float midpoints, their neighbours one ulp away,
+        # values below 0 and above the cap, and random values in between
+        types = (0.0, 0.3, 1.0)
+        inst = DiscreteInstance(types=types, q=1, refund_levels=levels, env=make_env(tau=tau))
+        rng = np.random.default_rng([levels, int(tau * 2)])
+        columns = []
+        for t, y in enumerate(types):
+            lat = inst.refund_lattice(y)
+            mids = (lat[:-1] + lat[1:]) / 2
+            special = np.concatenate([lat, mids, np.nextafter(mids, -np.inf), np.nextafter(mids, np.inf)])
+            outside = [-1.0, -1e-300, -0.0, lat[-1] + 1e-12, lat[-1] * 2 + 1.0]
+            inside = rng.uniform(0.0, lat[-1], 40)
+            columns.append(np.concatenate([special, outside, inside]))
+        width = max(map(len, columns))
+        values = np.stack([np.resize(col, width) for col in columns], axis=-1)  # [value, type]
+        values = np.stack([values, values[::-1]])  # two refunds per type, as a verdict rounds them
+        rounded, error = _round_per_type(values, inst._levels)
+        ref_rounded, ref_error = per_value_rounding(values, inst)
+        assert np.array_equal(rounded, ref_rounded)
+        assert error == ref_error
+
+    def test_one_point_lattice(self):
+        # x_lo = 0 and tau = 0: the cap at type 0 is 0, so its lattice is {0}
+        inst = DiscreteInstance(types=(0.0, 0.5, 1.0), q=1, refund_levels=5, env=make_env(tau=0.0))
+        assert np.array_equal(inst.refund_lattice(0.0), [0.0])
+        values = np.array([[-0.3, 0.2, 0.3], [0.0, 0.25, 1.2], [0.7, 0.74, 0.76]])
+        rounded, error = _round_per_type(values, inst._levels)
+        ref_rounded, ref_error = per_value_rounding(values, inst)
+        assert np.array_equal(rounded, ref_rounded)
+        assert np.array_equal(rounded[:, 0], np.zeros(3))
+        assert error == ref_error == 0.7
+
+    def test_rounding_limit_is_inclusive(self, env):
+        inst = DiscreteInstance(types=(0.0, 0.5, 1.0), q=1, refund_levels=5, env=env)
+        m = lattice_debt(env)
+        off = Mechanism(grid=m.grid, a=m.a, r_p=m.r_p, r_empty=m.r_empty + np.array([0.0, 0.05, 0.0]))
+        error = is_undominated(off, inst, "efficiency", max_rounding=1.0).rounding_error
+        assert error == _round_to_lattice(np.array([0.05]), inst.refund_lattice(0.5))[1] > 0
+        for mode in ("efficiency", "tightness"):
+            assert is_undominated(off, inst, mode, max_rounding=error).rounding_error == error
+            with pytest.raises(RoundingError):
+                is_undominated(off, inst, mode, max_rounding=np.nextafter(error, 0.0))
+
+    def test_default_limit_is_half_the_smallest_step(self, env):
+        # lattice steps 1/2 (audits) and 1/8 (refunds at type 1/2); a refund
+        # below 0 rounds to 0 with an error of exactly its size
+        inst = DiscreteInstance(types=(0.0, 0.5, 1.0), q=2, refund_levels=5, env=env)
+        limit = 0.5 * 0.125 + 1e-12
+        assert inst._limit == limit
+        m = lattice_debt(env)
+        for error, refused in ((limit, False), (np.nextafter(limit, 1.0), True)):
+            off = Mechanism(grid=m.grid, a=m.a, r_p=m.r_p, r_empty=m.r_empty - np.array([0.0, error, 0.0]))
+            for mode in ("efficiency", "tightness"):
+                if refused:
+                    with pytest.raises(RoundingError):
+                        is_undominated(off, inst, mode)
+                else:
+                    assert is_undominated(off, inst, mode).rounding_error == limit
+
+
+def verdict_key(call):
+    """Everything a verdict reports, or the error it raised."""
+    try:
+        v = call()
+    except RoundingError as exc:
+        return type(exc).__name__, str(exc)
+    witness = None if v.witness is None else tuple(getattr(v.witness, k).tobytes() for k in ("a", "r_p", "r_empty"))
+    return v.undominated, v.mode, witness, v.rounding_error, v.candidates_checked
+
+
+class TestInstanceTables:
+    SPECS = [
+        ((0.0, 1.0), 2, 4, 0.5, CostFn("linear", 0.1)),
+        ((0.0, 0.5, 1.0), 2, 5, 0.0, CostFn("power", 0.7, 2.0)),
+        ((0.0, 0.25, 0.5, 1.0), 1, 4, 0.5, CostFn("linear", 0.1)),
+        ((0.0, 0.25, 1.0), 3, 3, 0.0, CostFn("power", 0.3, 1.5)),
+    ]
+
+    @pytest.mark.parametrize("spec", SPECS, ids=lambda s: f"{len(s[0])}types-q{s[1]}-l{s[2]}-tau{s[3]}")
+    def test_reused_instance_matches_fresh_instances(self, spec):
+        types, q, levels, tau, cost = spec
+        env = Environment(x_lo=0.0, x_hi=1.0, tau=tau, cost=cost)
+        shared = DiscreteInstance(types=types, q=q, refund_levels=levels, env=env)
+        rng = np.random.default_rng(len(types) * 100 + q * 10 + levels)
+        calls = []
+        for _ in range(30):
+            rows = np.asarray([tab[rng.integers(0, len(tab))] for tab in map(shared.options, range(len(types)))])
+            if rng.integers(0, 3) == 0:  # off the lattice, sometimes beyond the rounding limit
+                rows = rows + rng.normal(0.0, 0.05, rows.shape) * (rows > 0)
+                rows[:, 0] = np.clip(rows[:, 0], 0.0, 1.0)
+            m = Mechanism(grid=np.asarray(types), a=rows[:, 0], r_p=rows[:, 1], r_empty=rows[:, 2])
+            calls += [(m, mode) for mode in ("efficiency", "tightness")]
+        outcomes = set()
+        for i in rng.permutation(len(calls)):
+            m, mode = calls[i]
+            fresh = DiscreteInstance(types=types, q=q, refund_levels=levels, env=env)
+            key = verdict_key(lambda: is_undominated(m, shared, mode))
+            assert key == verdict_key(lambda: is_undominated(m, fresh, mode))
+            outcomes.add(key[0])
+        assert {True, False} <= outcomes  # both verdicts occur
+
+    def test_tables_are_read_only(self, env_tau):
+        inst = DiscreteInstance(types=(0.0, 0.5, 1.0), q=2, refund_levels=3, env=env_tau)
+        with pytest.raises(ValueError):
+            inst.options(0)[0, 0] = 1
+        arrays = [inst.audit_lattice(), inst._levels, *inst._refunds, *(a for table in inst._tables for a in table)]
+        arrays += [inst.refund_lattice(y) for y in inst.types]
+        for arr in arrays:
+            with pytest.raises(ValueError):
+                arr[(0,) * arr.ndim] = 1.0
+        before = [arr.copy() for arr in arrays]
+        rows = np.asarray([inst.options(t)[-1] for t in range(3)])
+        m = Mechanism(grid=np.asarray(inst.types), a=rows[:, 0], r_p=rows[:, 1], r_empty=rows[:, 2])
+        for mode in ("efficiency", "tightness"):
+            is_undominated(m, inst, mode)
+        assert all(np.array_equal(a, b) for a, b in zip(arrays, before))
+
+    def test_verdict_builds_no_table(self, env, monkeypatch):
+        # the lattices come from linspace and the option tables from product;
+        # a verdict on a built instance must call neither
+        calls = []
+
+        def spy(name, fn):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        inst = DiscreteInstance(types=(0.0, 0.25, 0.5, 1.0), q=2, refund_levels=5, env=env)
+        m = build_on_types(debt_loss(env, 0.5), env, inst.types)
+        wasteful = Mechanism(grid=m.grid, a=np.ones(4), r_p=m.grid.copy(), r_empty=np.zeros(4))
+        is_undominated(m, inst, "efficiency")
+        monkeypatch.setattr(oracle.np, "linspace", spy("linspace", np.linspace))
+        monkeypatch.setattr(oracle.itertools, "product", spy("product", itertools.product))
+        for target in (m, wasteful):
+            for mode in ("efficiency", "tightness"):
+                is_undominated(target, inst, mode)
+        assert calls == []
+        DiscreteInstance(types=(0.0, 0.5, 1.0), q=1, refund_levels=2, env=env)
+        assert {"linspace", "product"} <= set(calls)  # the spies do see the builder
