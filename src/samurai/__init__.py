@@ -4,7 +4,6 @@ built from piecewise-linear loss functions."""
 from .audit_schedule import AuditSchedule
 from .certify import (
     Certificate,
-    certify_both,
     certify_efficient,
     certify_tight_necessary,
     compare_efficiency,

@@ -146,12 +146,10 @@ def certify_tight_necessary(
     return _tight_necessary(m, env, _core_clauses(m, env, _require_mechanism(m, env, rep), tol), tol)
 
 
-def certify_both(
-    m: Mechanism, env: Environment, rep: MechanismReport | None = None, tol: float = CERT_TOL
-) -> tuple[Certificate, Certificate]:
+def certify_both(m: Mechanism, env: Environment, tol: float = CERT_TOL) -> tuple[Certificate, Certificate]:
     """``certify_efficient`` and ``certify_tight_necessary`` of ``m`` from one
     evaluation of the core clauses they share."""
-    core = _core_clauses(m, env, _require_mechanism(m, env, rep), tol)
+    core = _core_clauses(m, env, _require_mechanism(m, env, None), tol)
     return _efficient(core), _tight_necessary(m, env, core, tol)
 
 

@@ -77,14 +77,20 @@ class DiscreteInstance:
         if estimate > ENUM_LIMIT:
             raise InstanceSizeError(estimate, ENUM_LIMIT)
 
+        # all types' options stacked in type order, so that revenue, profit
+        # and menu lines take one vectorized pass, then split per type
         grid = np.asarray(types)
-        tables = []
-        for t, lat in enumerate(refunds):
-            options = np.asarray(list(itertools.product(audit, lat, lat)), dtype=float)
-            a, rp, re = options.T
-            R = _revenue(grid[t], a, rp, re)
-            lines = a[:, None] * grid + (1.0 - a[:, None]) * (grid[t] - re[:, None])
-            tables.append(tuple(map(_frozen, (options, R, R - cost_eval(self.env.cost, a), lines))))
+        blocks = [list(itertools.product(audit.tolist(), lat.tolist(), lat.tolist())) for lat in refunds]
+        flat = itertools.chain.from_iterable(itertools.chain.from_iterable(blocks))
+        options = np.fromiter(flat, dtype=float).reshape(-1, 3)
+        counts = [len(block) for block in blocks]
+        y = np.repeat(grid, counts)  # the type each option belongs to
+        a, rp, re = options.T
+        R = _revenue(y, a, rp, re)
+        lines = a[:, None] * grid + (1.0 - a[:, None]) * (y - re)[:, None]
+        columns = [_frozen(arr) for arr in (options, R, R - cost_eval(self.env.cost, a), lines)]
+        ends = np.cumsum(counts).tolist()
+        tables = [tuple(col[lo:hi] for col in columns) for lo, hi in zip([0, *ends], ends)]
         # rows shorter than the widest lattice repeat their last point
         width = np.arange(max(map(len, refunds)))
         levels = [lat[np.minimum(width, len(lat) - 1)] for lat in refunds]
@@ -96,9 +102,9 @@ class DiscreteInstance:
     def audit_lattice(self) -> np.ndarray:
         return self._audit
 
-    def refund_lattice(self, y: float) -> np.ndarray:
-        """The refund lattice [0, y + tau] at ``y``, one of the instance's types."""
-        return self._refunds[self.types.index(float(y))]
+    def refund_lattice(self, t: int) -> np.ndarray:
+        """The refund lattice [0, y + tau] of type t, y = ``types[t]``."""
+        return self._refunds[t]
 
     def options(self, t: int):
         """Lexicographic per-type option table: columns (a, r_p, r_empty)."""
@@ -180,25 +186,16 @@ def enumerate_feasible_ic(inst: DiscreteInstance):
             yield m
 
 
-def _round_to_lattice(values: np.ndarray, lattice: np.ndarray):
-    idx = np.clip(np.searchsorted(lattice, values), 0, len(lattice) - 1)
-    idx_lo = np.clip(idx - 1, 0, len(lattice) - 1)
-    pick = np.where(
-        np.abs(lattice[idx] - values) <= np.abs(lattice[idx_lo] - values), idx, idx_lo
-    )
-    rounded = lattice[pick]
-    return rounded, float(np.max(np.abs(rounded - values), initial=0.0))
-
-
 def _round_per_type(values: np.ndarray, levels: np.ndarray):
-    """``_round_to_lattice`` of every ``values[..., t]`` to row t of ``levels``
-    (the type x level lattice matrix) in one call.
+    """Round every ``values[..., t]`` to the nearest point of row t of
+    ``levels`` (the type x level lattice matrix) in one call; a one-row
+    matrix is the lattice of every type.  Returns the rounded values and the
+    largest rounding error.
 
-    Counting the points below a value gives ``searchsorted``'s left insertion
-    point, and the nearer of its two neighbours wins, a tie going to the upper
-    one.  A row shorter than the widest lattice repeats its last point, which
-    adds only neighbours equal to that point, so every row acts as its own
-    lattice.
+    Counting the points below a value gives its left insertion point, and the
+    nearer of its two neighbours wins, a tie going to the upper one.  A row
+    shorter than the widest lattice repeats its last point, which adds only
+    neighbours equal to that point, so every row acts as its own lattice.
     """
     idx = np.minimum(np.sum(levels < values[..., None], axis=-1), levels.shape[-1] - 1)
     rows = np.arange(len(levels))
@@ -269,7 +266,7 @@ def is_undominated(
     if len(m.grid) != len(types) or np.max(np.abs(m.grid - types)) > 1e-9:
         raise ValueError("mechanism grid must equal the instance type set")
 
-    a_hat, audit_error = _round_to_lattice(m.a, inst.audit_lattice())
+    a_hat, audit_error = _round_per_type(m.a, inst._audit[None])
     (rp_hat, re_hat), refund_error = _round_per_type(np.stack([m.r_p, m.r_empty]), inst._levels)
     rounding_error = max(audit_error, refund_error)
     limit = max_rounding if max_rounding is not None else inst._limit

@@ -6,7 +6,6 @@ from samurai import (
     Mechanism,
     PreconditionError,
     build_efficient,
-    certify_both,
     certify_efficient,
     certify_tight_necessary,
     compare_efficiency,
@@ -15,7 +14,15 @@ from samurai import (
     random_loss_function,
     tighten,
 )
-from samurai.certify import CERTIFIED_EFFICIENT, EQUAL, INCOMPARABLE, MORE_EFFICIENT, REFUTED, TIGHT_NECESSARY
+from samurai.certify import (
+    CERTIFIED_EFFICIENT,
+    EQUAL,
+    INCOMPARABLE,
+    MORE_EFFICIENT,
+    REFUTED,
+    TIGHT_NECESSARY,
+    certify_both,
+)
 
 from conftest import make_env, random_mechanism
 

@@ -20,7 +20,7 @@ from samurai import (
     is_undominated,
 )
 from samurai import oracle
-from samurai.oracle import LATTICE_EQ_TOL, _round_per_type, _round_to_lattice
+from samurai.oracle import LATTICE_EQ_TOL, _round_per_type
 
 from conftest import build_on_types, make_env
 
@@ -50,7 +50,7 @@ class TestEnumeration:
     def test_two_point_refund_lattice_spans_cap(self):
         env = make_env(tau=0.5)
         inst = DiscreteInstance(types=(0.0, 1.0), q=1, refund_levels=2, env=env)
-        lat = inst.refund_lattice(1.0)
+        lat = inst.refund_lattice(1)
         assert lat[0] == 0.0 and lat[-1] == 1.5
 
     def test_instance_too_large(self, env):
@@ -254,13 +254,23 @@ class TestPrunedScanEquivalence:
         assert verdict.candidates_checked == np.ravel_multi_index((1, 0, 0, 0), counts) == 125_000
 
 
-def per_value_rounding(values, inst):
-    """``_round_to_lattice`` applied to one value at a time, ``values[..., t]``
-    against the refund lattice of type t."""
+def round_to_lattice(values, lattice):
+    """The per-value rounding rule: searchsorted's left insertion point, the
+    nearer of its two neighbours, a tie going to the upper one."""
+    idx = np.clip(np.searchsorted(lattice, values), 0, len(lattice) - 1)
+    idx_lo = np.clip(idx - 1, 0, len(lattice) - 1)
+    pick = np.where(np.abs(lattice[idx] - values) <= np.abs(lattice[idx_lo] - values), idx, idx_lo)
+    rounded = lattice[pick]
+    return rounded, float(np.max(np.abs(rounded - values), initial=0.0))
+
+
+def per_value_rounding(values, lattice_of):
+    """``round_to_lattice`` applied to one value at a time, ``values[..., t]``
+    against ``lattice_of(t)``."""
     out = np.empty_like(values)
     error = 0.0
     for idx in np.ndindex(values.shape):
-        rounded, err = _round_to_lattice(np.array([values[idx]]), inst.refund_lattice(inst.types[idx[-1]]))
+        rounded, err = round_to_lattice(np.array([values[idx]]), lattice_of(idx[-1]))
         out[idx] = rounded[0]
         error = max(error, err)
     return out, error
@@ -270,7 +280,7 @@ class TestRoundPerType:
     def test_midpoints_tie_to_the_upper_point(self):
         # binary fractions: every lattice point and midpoint is exact
         inst = DiscreteInstance(types=(0.0, 1.0), q=1, refund_levels=4, env=make_env(tau=0.5))
-        lat = inst.refund_lattice(1.0)
+        lat = inst.refund_lattice(1)
         assert np.array_equal(lat, [0.0, 0.5, 1.0, 1.5])
         mids = (lat[:-1] + lat[1:]) / 2
         values = np.zeros((len(mids), 2))
@@ -278,7 +288,7 @@ class TestRoundPerType:
         rounded, error = _round_per_type(values, inst._levels)
         assert np.array_equal(rounded[:, 1], lat[1:])
         assert error == 0.25
-        assert np.array_equal(rounded, per_value_rounding(values, inst)[0])
+        assert np.array_equal(rounded, per_value_rounding(values, inst.refund_lattice)[0])
 
     @pytest.mark.parametrize("tau", [0.0, 0.5])
     @pytest.mark.parametrize("levels", [2, 3, 5, 11])
@@ -289,8 +299,8 @@ class TestRoundPerType:
         inst = DiscreteInstance(types=types, q=1, refund_levels=levels, env=make_env(tau=tau))
         rng = np.random.default_rng([levels, int(tau * 2)])
         columns = []
-        for t, y in enumerate(types):
-            lat = inst.refund_lattice(y)
+        for t in range(len(types)):
+            lat = inst.refund_lattice(t)
             mids = (lat[:-1] + lat[1:]) / 2
             special = np.concatenate([lat, mids, np.nextafter(mids, -np.inf), np.nextafter(mids, np.inf)])
             outside = [-1.0, -1e-300, -0.0, lat[-1] + 1e-12, lat[-1] * 2 + 1.0]
@@ -300,17 +310,17 @@ class TestRoundPerType:
         values = np.stack([np.resize(col, width) for col in columns], axis=-1)  # [value, type]
         values = np.stack([values, values[::-1]])  # two refunds per type, as a verdict rounds them
         rounded, error = _round_per_type(values, inst._levels)
-        ref_rounded, ref_error = per_value_rounding(values, inst)
+        ref_rounded, ref_error = per_value_rounding(values, inst.refund_lattice)
         assert np.array_equal(rounded, ref_rounded)
         assert error == ref_error
 
     def test_one_point_lattice(self):
         # x_lo = 0 and tau = 0: the cap at type 0 is 0, so its lattice is {0}
         inst = DiscreteInstance(types=(0.0, 0.5, 1.0), q=1, refund_levels=5, env=make_env(tau=0.0))
-        assert np.array_equal(inst.refund_lattice(0.0), [0.0])
+        assert np.array_equal(inst.refund_lattice(0), [0.0])
         values = np.array([[-0.3, 0.2, 0.3], [0.0, 0.25, 1.2], [0.7, 0.74, 0.76]])
         rounded, error = _round_per_type(values, inst._levels)
-        ref_rounded, ref_error = per_value_rounding(values, inst)
+        ref_rounded, ref_error = per_value_rounding(values, inst.refund_lattice)
         assert np.array_equal(rounded, ref_rounded)
         assert np.array_equal(rounded[:, 0], np.zeros(3))
         assert error == ref_error == 0.7
@@ -320,7 +330,7 @@ class TestRoundPerType:
         m = lattice_debt(env)
         off = Mechanism(grid=m.grid, a=m.a, r_p=m.r_p, r_empty=m.r_empty + np.array([0.0, 0.05, 0.0]))
         error = is_undominated(off, inst, "efficiency", max_rounding=1.0).rounding_error
-        assert error == _round_to_lattice(np.array([0.05]), inst.refund_lattice(0.5))[1] > 0
+        assert error == round_to_lattice(np.array([0.05]), inst.refund_lattice(1))[1] > 0
         for mode in ("efficiency", "tightness"):
             assert is_undominated(off, inst, mode, max_rounding=error).rounding_error == error
             with pytest.raises(RoundingError):
@@ -389,7 +399,7 @@ class TestInstanceTables:
         with pytest.raises(ValueError):
             inst.options(0)[0, 0] = 1
         arrays = [inst.audit_lattice(), inst._levels, *inst._refunds, *(a for table in inst._tables for a in table)]
-        arrays += [inst.refund_lattice(y) for y in inst.types]
+        arrays += [inst.refund_lattice(t) for t in range(len(inst.types))]
         for arr in arrays:
             with pytest.raises(ValueError):
                 arr[(0,) * arr.ndim] = 1.0
