@@ -1,12 +1,25 @@
 """Command-line front end.
 
 Seven commands: validate, construct, tighten, check, compare, bruteforce,
-export.  Exit code 0 means success or a passing verdict, 2 a semantic
-negative (invalid loss function, refuted certificate, dominated mechanism),
-1 a usage or I/O error or a failed internal guarantee.  Outputs are
-byte-stable for fixed inputs and seed: JSON keys are sorted and CSV numbers
-carry 12 significant digits with dot decimals, comma delimiters, and LF line
-endings.
+export.  Each command accepts only the flags it reads:
+
+  all commands                          --env (required), --out
+  validate, construct                   --lambda or --seed (exactly one), --grid
+  validate, construct, tighten          --format json|csv
+  validate, check, compare              --tol
+  tighten, check, compare, bruteforce,  --mechanism (required; twice for
+  export                                compare: candidate, baseline)
+  bruteforce                            --types (required), --q,
+                                        --refund-levels, --mode
+
+Exit code 0 means success or a passing verdict, 2 a semantic negative
+(invalid loss function, refuted certificate, dominated mechanism), 1 a
+usage or I/O error or a failed internal guarantee.  Usage errors include
+every argument-parsing error (an unknown flag, a flag of another command, a
+bad choice, a missing flag or command); each prints one ``error:`` line on
+stderr.  Outputs are byte-stable for fixed inputs and seed: JSON keys are
+sorted and CSV numbers carry 12 significant digits with dot decimals, comma
+delimiters, and LF line endings.
 """
 
 from __future__ import annotations
@@ -14,7 +27,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -42,25 +54,6 @@ from .tighten import tighten as run_tighten
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_NEGATIVE = 2
-
-COMMANDS = ("validate", "construct", "tighten", "check", "compare", "bruteforce", "export")
-
-
-@dataclass
-class RunConfig:
-    command: str
-    env_path: str | None = None
-    lambda_path: str | None = None
-    mechanism_paths: list = field(default_factory=list)
-    grid_size: int = 1001
-    tol: float | None = None
-    seed: int | None = None
-    out: str | None = None
-    fmt: str = "json"
-    types: str | None = None
-    q: int = 2
-    refund_levels: int = 3
-    mode: str = "efficiency"
 
 
 def _dump_json(obj) -> str:
@@ -95,23 +88,21 @@ class _UsageError(Exception):
     pass
 
 
-def _need(value, flag: str):
-    if value in (None, []):
-        raise _UsageError(f"missing required flag {flag}")
-    return value
+class _Parser(argparse.ArgumentParser):
+    """Reports parse errors as usage errors (exit 1) instead of exiting 2."""
+
+    def error(self, message):
+        raise _UsageError(message)
 
 
-def _load_env(config: RunConfig) -> Environment:
-    return Environment.from_dict(_load_json(_need(config.env_path, "--env")))
+def _load_env(args) -> Environment:
+    return Environment.from_dict(_load_json(args.env))
 
 
-def _load_lambda(config: RunConfig, env: Environment) -> PwlFunction:
-    if config.lambda_path:
-        return PwlFunction.from_dict(_load_json(config.lambda_path))
-    if config.seed is not None:
-        rng = np.random.default_rng(config.seed)
-        return random_loss_function(env, rng).shape
-    raise _UsageError("provide --lambda or --seed")
+def _load_lambda(args, env: Environment) -> PwlFunction:
+    if args.seed is None:
+        return PwlFunction.from_dict(_load_json(args.lambda_path))
+    return random_loss_function(env, np.random.default_rng(args.seed)).shape
 
 
 def _load_mechanism(path: str) -> Mechanism:
@@ -147,39 +138,39 @@ def export_plot_data(m: Mechanism, env: Environment) -> str:
 
 # -- command handlers --------------------------------------------------------
 
-def _cmd_validate(config: RunConfig) -> int:
-    env = _load_env(config)
-    f = _load_lambda(config, env)
-    violations = lambda_violations(f, env, tol=config.tol)
+def _cmd_validate(args) -> int:
+    env = _load_env(args)
+    f = _load_lambda(args, env)
+    violations = lambda_violations(f, env, tol=args.tol)
     if violations:
-        _emit(_dump_json({"valid": False, "violations": [v.to_dict() for v in violations]}), config.out)
+        _emit(_dump_json({"valid": False, "violations": [v.to_dict() for v in violations]}), args.out)
         return EXIT_NEGATIVE
-    lam = validate_lambda(f, env, tol=config.tol)
-    if config.fmt == "csv":
-        ys = np.linspace(env.x_lo, env.x_hi, config.grid_size)
+    lam = validate_lambda(f, env, tol=args.tol)
+    if args.format == "csv":
+        ys = np.linspace(env.x_lo, env.x_hi, args.grid)
         table = AuditSchedule.from_loss(lam, env).table(ys)
-        _emit(_csv(["y", "alpha", "beta", "a"], [table["y"], table["alpha"], table["beta"], table["a"]]), config.out)
+        _emit(_csv(["y", "alpha", "beta", "a"], [table["y"], table["alpha"], table["beta"], table["a"]]), args.out)
     else:
-        _emit(_dump_json({"valid": True, "violations": []}), config.out)
+        _emit(_dump_json({"valid": True, "violations": []}), args.out)
     return EXIT_OK
 
 
-def _cmd_construct(config: RunConfig) -> int:
-    env = _load_env(config)
-    lam = validate_lambda(_load_lambda(config, env), env)
-    m = constructor.build_efficient(lam, env, config.grid_size)
-    if config.fmt == "csv":
-        _emit(export_plot_data(m, env), config.out)
+def _cmd_construct(args) -> int:
+    env = _load_env(args)
+    lam = validate_lambda(_load_lambda(args, env), env)
+    m = constructor.build_efficient(lam, env, args.grid)
+    if args.format == "csv":
+        _emit(export_plot_data(m, env), args.out)
     else:
-        _emit(_dump_json(m.to_dict()), config.out)
+        _emit(_dump_json(m.to_dict()), args.out)
     return EXIT_OK
 
 
-def _cmd_tighten(config: RunConfig) -> int:
-    env = _load_env(config)
-    m = _load_mechanism(_need(config.mechanism_paths, "--mechanism")[0])
+def _cmd_tighten(args) -> int:
+    env = _load_env(args)
+    m = _load_mechanism(args.mechanism[0])
     rep = run_tighten(m, env)
-    if config.fmt == "csv":
+    if args.format == "csv":
         lam_plus = np.maximum.accumulate(np.maximum(rep.lambda_m_in, env.x_lo))
         star = rep.lambda_star.eval(rep.grid_in)
         idx = np.searchsorted(rep.grid_out, rep.grid_in)
@@ -188,52 +179,51 @@ def _cmd_tighten(config: RunConfig) -> int:
                 ["x", "lambda", "lambda_plus", "lambda_star", "a_in", "a_out"],
                 [rep.grid_in, rep.lambda_m_in, lam_plus, star, rep.a_in, rep.a_out[idx]],
             ),
-            config.out,
+            args.out,
         )
     else:
-        _emit(_dump_json(rep.to_dict()), config.out)
+        _emit(_dump_json(rep.to_dict()), args.out)
     return EXIT_OK
 
 
-def _cmd_check(config: RunConfig) -> int:
-    env = _load_env(config)
-    m = _load_mechanism(_need(config.mechanism_paths, "--mechanism")[0])
-    tol = config.tol if config.tol is not None else certify.CERT_TOL
+def _cmd_check(args) -> int:
+    env = _load_env(args)
+    m = _load_mechanism(args.mechanism[0])
+    tol = args.tol if args.tol is not None else certify.CERT_TOL
     eff, tight = certify.certify_both(m, env, tol=tol)
-    _emit(_dump_json({"efficient": eff.to_dict(), "tightness_necessary": tight.to_dict()}), config.out)
+    _emit(_dump_json({"efficient": eff.to_dict(), "tightness_necessary": tight.to_dict()}), args.out)
     return EXIT_OK if eff.verdict == certify.CERTIFIED_EFFICIENT else EXIT_NEGATIVE
 
 
-def _cmd_compare(config: RunConfig) -> int:
-    env = _load_env(config)
-    paths = _need(config.mechanism_paths, "--mechanism (twice)")
-    if len(paths) != 2:
+def _cmd_compare(args) -> int:
+    env = _load_env(args)
+    if len(args.mechanism) != 2:
         raise _UsageError("compare needs --mechanism given exactly twice (candidate, baseline)")
-    m_star = _load_mechanism(paths[0])
-    m = _load_mechanism(paths[1])
-    tol = config.tol if config.tol is not None else certify.COMPARE_TOL
+    m_star = _load_mechanism(args.mechanism[0])
+    m = _load_mechanism(args.mechanism[1])
+    tol = args.tol if args.tol is not None else certify.COMPARE_TOL
     out = {
         "efficiency": certify.compare_efficiency(m_star, m, env, tol=tol),
         "tightness": certify.compare_tightness(m_star, m, env, tol=tol),
     }
-    _emit(_dump_json(out), config.out)
+    _emit(_dump_json(out), args.out)
     return EXIT_OK
 
 
-def _cmd_bruteforce(config: RunConfig) -> int:
-    env = _load_env(config)
-    m = _load_mechanism(_need(config.mechanism_paths, "--mechanism")[0])
-    types = [float(t) for t in _need(config.types, "--types").split(",")]
-    inst = oracle.DiscreteInstance(types=tuple(types), q=config.q, refund_levels=config.refund_levels, env=env)
-    verdict = oracle.is_undominated(m, inst, mode=config.mode)
-    _emit(_dump_json(verdict.to_dict()), config.out)
+def _cmd_bruteforce(args) -> int:
+    env = _load_env(args)
+    m = _load_mechanism(args.mechanism[0])
+    types = [float(t) for t in args.types.split(",")]
+    inst = oracle.DiscreteInstance(types=tuple(types), q=args.q, refund_levels=args.refund_levels, env=env)
+    verdict = oracle.is_undominated(m, inst, mode=args.mode)
+    _emit(_dump_json(verdict.to_dict()), args.out)
     return EXIT_OK if verdict.undominated else EXIT_NEGATIVE
 
 
-def _cmd_export(config: RunConfig) -> int:
-    env = _load_env(config)
-    m = _load_mechanism(_need(config.mechanism_paths, "--mechanism")[0])
-    _emit(export_plot_data(m, env), config.out)
+def _cmd_export(args) -> int:
+    env = _load_env(args)
+    m = _load_mechanism(args.mechanism[0])
+    _emit(export_plot_data(m, env), args.out)
     return EXIT_OK
 
 
@@ -248,72 +238,57 @@ _HANDLERS = {
 }
 
 
-def run(config: RunConfig) -> int:
-    """Dispatch a parsed configuration; returns the process exit code."""
-    try:
-        return _HANDLERS[config.command](config)
-    except _UsageError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_USAGE
-    except (LambdaValidationError,) as exc:
-        _emit(_dump_json({"valid": False, "violations": [v.to_dict() for v in exc.violations]}), config.out)
-        return EXIT_NEGATIVE
-    except PreconditionError as exc:
-        payload = {"error": str(exc)}
-        if exc.certificate is not None and hasattr(exc.certificate, "to_dict"):
-            payload["certificate"] = exc.certificate.to_dict()
-        _emit(_dump_json(payload), config.out)
-        return EXIT_NEGATIVE
-    except (DomainError, GridMismatchError, InstanceSizeError, RoundingError) as exc:
-        _emit(_dump_json({"error": str(exc)}), config.out)
-        return EXIT_NEGATIVE
-    except (GuaranteeError, OSError, ValueError, KeyError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_USAGE
-
-
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="samurai", description=__doc__)
+    parser = _Parser(prog="samurai", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
+    for name in _HANDLERS:
         p = sub.add_parser(name)
-        p.add_argument("--env", dest="env_path")
-        p.add_argument("--lambda", dest="lambda_path")
-        p.add_argument("--mechanism", dest="mechanism_paths", action="append", default=[])
-        p.add_argument("--grid", dest="grid_size", type=int, default=1001)
-        p.add_argument("--tol", type=float, default=None)
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--out", default=None)
-        p.add_argument("--format", dest="fmt", choices=("json", "csv"), default="json")
+        p.add_argument("--env", required=True)
+        p.add_argument("--out")
+        if name in ("validate", "construct"):
+            source = p.add_mutually_exclusive_group(required=True)
+            source.add_argument("--lambda", dest="lambda_path")
+            source.add_argument("--seed", type=int)
+            p.add_argument("--grid", type=int, default=1001)
+        if name in ("validate", "construct", "tighten"):
+            p.add_argument("--format", choices=("json", "csv"), default="json")
+        if name in ("validate", "check", "compare"):
+            p.add_argument("--tol", type=float)
+        if name not in ("validate", "construct"):
+            p.add_argument("--mechanism", action="append", required=True)
         if name == "bruteforce":
-            p.add_argument("--types", default=None)
+            p.add_argument("--types", required=True)
             p.add_argument("--q", type=int, default=2)
-            p.add_argument("--refund-levels", dest="refund_levels", type=int, default=3)
+            p.add_argument("--refund-levels", type=int, default=3)
             p.add_argument("--mode", choices=("efficiency", "tightness"), default="efficiency")
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    if args.grid_size < 2:
-        sys.stderr.write("error: --grid must be >= 2\n")
+    """Parse argv and run one command; returns the process exit code."""
+    try:
+        args = build_parser().parse_args(argv)
+        if "grid" in args and args.grid < 2:
+            raise _UsageError("--grid must be >= 2")
+        return _HANDLERS[args.command](args)
+    except _UsageError as exc:
+        sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
-    config = RunConfig(
-        command=args.command,
-        env_path=args.env_path,
-        lambda_path=args.lambda_path,
-        mechanism_paths=args.mechanism_paths,
-        grid_size=args.grid_size,
-        tol=args.tol,
-        seed=args.seed,
-        out=args.out,
-        fmt=args.fmt,
-        types=getattr(args, "types", None),
-        q=getattr(args, "q", 2),
-        refund_levels=getattr(args, "refund_levels", 3),
-        mode=getattr(args, "mode", "efficiency"),
-    )
-    return run(config)
+    except LambdaValidationError as exc:
+        _emit(_dump_json({"valid": False, "violations": [v.to_dict() for v in exc.violations]}), args.out)
+        return EXIT_NEGATIVE
+    except PreconditionError as exc:
+        payload = {"error": str(exc)}
+        if exc.certificate is not None and hasattr(exc.certificate, "to_dict"):
+            payload["certificate"] = exc.certificate.to_dict()
+        _emit(_dump_json(payload), args.out)
+        return EXIT_NEGATIVE
+    except (DomainError, GridMismatchError, InstanceSizeError, RoundingError) as exc:
+        _emit(_dump_json({"error": str(exc)}), args.out)
+        return EXIT_NEGATIVE
+    except (GuaranteeError, OSError, ValueError, KeyError) as exc:
+        sys.stderr.write(f"error: {exc}\n")
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

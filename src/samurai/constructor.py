@@ -33,7 +33,7 @@ class RefundPair:
     r_empty: np.ndarray
 
 
-def refunds_from(grid, lam_values, a_values, env: Environment, check: bool = True) -> RefundPair:
+def refunds_from(grid, lam_values, a_values, env: Environment) -> RefundPair:
     """Refund tables making revenue equal the loss table, type by type.
 
     Requires the (loss, audit) pair to satisfy the downward-deviation system;
@@ -42,14 +42,13 @@ def refunds_from(grid, lam_values, a_values, env: Environment, check: bool = Tru
     grid = np.asarray(grid, dtype=float)
     lam = np.asarray(lam_values, dtype=float)
     a = np.asarray(a_values, dtype=float)
-    if check:
-        cert = system_holds(grid, lam, a, env)
-        if not cert.passed:
-            raise PreconditionError(
-                f"refund system violated at (x={cert.violations[0]['x']}, "
-                f"y={cert.violations[0]['y']})",
-                certificate=cert,
-            )
+    cert = system_holds(grid, lam, a, env)
+    if not cert.passed:
+        raise PreconditionError(
+            f"refund system violated at (x={cert.violations[0]['x']}, "
+            f"y={cert.violations[0]['y']})",
+            certificate=cert,
+        )
     tau = env.tau
     cap = grid + tau
 

@@ -161,15 +161,16 @@ def virtual_loss(grid, lam_values, a_values, env: Environment) -> LossFunction:
     return validate_lambda(envelope, env)
 
 
-def classify_debt(lam: LossFunction, tol: float = 1e-12):
-    """Threshold y0 if the loss equals min(y, y0) up to ``tol``, else None."""
+def classify_debt(lam: LossFunction):
+    """Threshold y0 if the loss equals min(y, y0) up to 1e-12 * max(1, span),
+    else None."""
     xs, vs = lam.xs, lam.vs
     y0 = float(vs[-1])
     probe = np.unique(np.concatenate([xs, [min(max(y0, xs[0]), xs[-1])]]))
     ref = np.minimum(probe, y0)
     got = lam.eval(probe)
     scale = max(1.0, float(xs[-1] - xs[0]))
-    if np.max(np.abs(got - ref)) <= tol * scale:
+    if np.max(np.abs(got - ref)) <= 1e-12 * scale:
         return y0
     return None
 
@@ -190,21 +191,16 @@ def debt_loss(env: Environment, threshold: float) -> LossFunction:
     return validate_lambda(f, env)
 
 
-def random_loss_function(
-    env: Environment,
-    rng: np.random.Generator,
-    max_kinks: int = 10,
-    touch_identity_prob: float = 0.3,
-) -> LossFunction:
+def random_loss_function(env: Environment, rng: np.random.Generator) -> LossFunction:
     """Seeded random admissible loss function.
 
-    Draws up to ``max_kinks`` interior kink positions and nonincreasing
-    positive slopes, rescales so the first slope is at most 1, and anchors the
-    values at x_lo.  With probability ``touch_identity_prob`` the first slope
-    is exactly 1, so the function starts on the identity.
+    Draws up to 10 interior kink positions and nonincreasing positive slopes,
+    rescales so the first slope is at most 1, and anchors the values at x_lo.
+    With probability 0.3 the first slope is exactly 1, so the function starts
+    on the identity.
     """
     span = env.span
-    k = int(rng.integers(0, max_kinks + 1))
+    k = int(rng.integers(0, 11))
     if k:
         kinks = np.sort(rng.uniform(env.x_lo + 0.02 * span, env.x_hi - 0.02 * span, size=k))
         keep = np.concatenate([[True], np.diff(kinks) > 1e-3 * span])
@@ -214,7 +210,7 @@ def random_loss_function(
     xs = np.concatenate([[env.x_lo], kinks, [env.x_hi]])
     n_seg = len(xs) - 1
     slopes = np.sort(rng.uniform(0.05, 1.0, size=n_seg))[::-1]
-    if rng.uniform() < touch_identity_prob:
+    if rng.uniform() < 0.3:
         first = 1.0
     else:
         first = rng.uniform(0.2, 1.0)

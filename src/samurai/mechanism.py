@@ -194,7 +194,8 @@ def report(m: Mechanism, env: Environment) -> MechanismReport:
 
 def check_feasible(m: Mechanism, env: Environment) -> CheckResult:
     """Pointwise feasibility: probabilities in [0,1], refunds in [0, y+tau],
-    grid endpoints matching the environment bounds."""
+    grid endpoints matching the environment bounds.  Probabilities are
+    unitless and get the absolute FEAS_TOL; refunds get it times max(1, span)."""
     tol = FEAS_TOL * max(1.0, env.span)
     violations = []
     if abs(m.grid[0] - env.x_lo) > 1e-9 * max(1.0, env.span):
@@ -203,7 +204,7 @@ def check_feasible(m: Mechanism, env: Environment) -> CheckResult:
         violations.append({"index": len(m) - 1, "field": "grid", "value": float(m.grid[-1]), "bound": env.x_hi})
     cap = m.grid + env.tau
     for name, arr, lo_ok, hi_lim in (
-        ("a", m.a, -tol, 1.0 + tol),
+        ("a", m.a, -FEAS_TOL, 1.0 + FEAS_TOL),
         ("r_p", m.r_p, -tol, None),
         ("r_empty", m.r_empty, -tol, None),
     ):
@@ -224,11 +225,11 @@ def check_ic(m: Mechanism, env: Environment, rep: MechanismReport | None = None)
     return CheckResult("incentive-compatible", rep.ic, rep.ic_witnesses)
 
 
-def system_holds(grid, lam_values, a_values, env: Environment, tol: float = IC_TOL) -> CheckResult:
+def system_holds(grid, lam_values, a_values, env: Environment) -> CheckResult:
     """The downward-deviation inequality system for a sampled (loss, audit) pair.
 
     Checks, for all grid pairs y <= x,
-        loss(x) <= a(y)*x + min{(1-a(y))*y, loss(y) + a(y)*tau} + tol.
+        loss(x) <= a(y)*x + min{(1-a(y))*y, loss(y) + a(y)*tau} + IC_TOL.
     """
     grid = np.asarray(grid, dtype=float)
     lam = np.asarray(lam_values, dtype=float)
@@ -237,7 +238,7 @@ def system_holds(grid, lam_values, a_values, env: Environment, tol: float = IC_T
         raise ValueError("grid, loss table and audit table must be aligned")
     phi = np.minimum((1.0 - a) * grid, lam + a * env.tau)
     slack = _menu_min(a, grid, phi) - lam
-    bad = np.nonzero(slack < -tol)[0]
+    bad = np.nonzero(slack < -IC_TOL)[0]
     violations = []
     for j in bad:
         terms = a[: j + 1] * grid[j] + phi[: j + 1]

@@ -111,15 +111,16 @@ def tighten(m: Mechanism, env: Environment) -> TightenReport:
         a_out=a_out,
         mechanism_out=m_out,
         audit_reduced=bool(np.any(m.a - a_out_at_in > 1e-12)),
-        revenue_increased=bool(np.any(rev_out[idx] - rep.revenue > 1e-12)),
+        revenue_increased=bool(np.any(rev_out[idx] - rep.revenue > 1e-12 * max(1.0, env.span))),
         lambda_m_out=lam_m_out,
     )
 
 
 def is_fixed_point(m: Mechanism, env: Environment, tol: float = FIXED_POINT_TOL) -> bool:
-    """Whether tightening leaves the audit schedule and revenue unchanged."""
+    """Whether tightening leaves the audit schedule unchanged to ``tol`` and
+    revenue unchanged to ``tol * max(1, span)``."""
     rep = tighten(m, env)
     idx = _input_indices(rep.grid_out, m.grid)
     same_a = np.max(np.abs(rep.a_out[idx] - m.a)) <= tol
-    same_r = np.max(np.abs(revenue_table(rep.mechanism_out)[idx] - revenue_table(m))) <= tol
+    same_r = np.max(np.abs(revenue_table(rep.mechanism_out)[idx] - revenue_table(m))) <= tol * max(1.0, env.span)
     return bool(same_a and same_r)

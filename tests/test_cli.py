@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -52,6 +53,71 @@ def test_grid_too_small():
     res = run_cli("construct", "--env", "env_lin.json", "--lambda", "lambda_debt.json", "--grid", "1")
     assert res.returncode == 1
     assert "error: --grid must be >= 2" in res.stderr
+
+
+# the flags each command's handler reads: 35 flag values over seven commands
+FLAGS = {
+    "validate": {"--env", "--out", "--lambda", "--seed", "--grid", "--format", "--tol"},
+    "construct": {"--env", "--out", "--lambda", "--seed", "--grid", "--format"},
+    "tighten": {"--env", "--out", "--format", "--mechanism"},
+    "check": {"--env", "--out", "--tol", "--mechanism"},
+    "compare": {"--env", "--out", "--tol", "--mechanism"},
+    "bruteforce": {"--env", "--out", "--mechanism", "--types", "--q", "--refund-levels", "--mode"},
+    "export": {"--env", "--out", "--mechanism"},
+}
+
+
+@pytest.mark.parametrize("command", FLAGS)
+def test_help_lists_exactly_the_flags_read(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--help"])
+    assert exc.value.code == 0
+    assert set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out)) == FLAGS[command] | {"--help"}
+
+
+def test_handlers_read_every_registered_flag(tmp_path, monkeypatch):
+    reads = {name: set() for name in FLAGS}
+    registered = {name: set() for name in FLAGS}
+
+    class Recorder:
+        def __init__(self, args):
+            self._args = args
+
+        def __getattr__(self, name):
+            reads[self._args.command].add(name)
+            return getattr(self._args, name)
+
+    for name, handler in list(cli._HANDLERS.items()):
+        monkeypatch.setitem(cli._HANDLERS, name, lambda args, handler=handler: handler(Recorder(args)))
+    monkeypatch.chdir(GOLD)
+    for expect_code, golden, argv in GOLDEN_CASES:
+        argv = [*argv, "--out", str(tmp_path / golden)]
+        registered[argv[0]] |= set(vars(cli.build_parser().parse_args(argv))) - {"command"}
+        assert cli.main(argv) == expect_code
+    assert reads == registered
+
+
+USAGE_ERRORS = {
+    "unknown flag": ["check", "--env", "env_lin.json", "--mechanism", "construct_debt.json", "--verbose"],
+    "export --format json": ["export", "--env", "env_lin.json", "--mechanism", "construct_debt.json", "--format", "json"],
+    "check --grid 1": ["check", "--env", "env_lin.json", "--mechanism", "construct_debt.json", "--grid", "1"],
+    "construct --tol": ["construct", "--env", "env_lin.json", "--lambda", "lambda_debt.json", "--tol", "1e-9"],
+    "lambda and seed": ["construct", "--env", "env_lin.json", "--lambda", "x", "--seed", "7"],
+    "neither lambda nor seed": ["construct", "--env", "env_lin.json"],
+    "bad format": ["validate", "--env", "env_lin.json", "--lambda", "lambda_debt.json", "--format", "xml"],
+    "bad mode": ["bruteforce", "--env", "env_lin.json", "--mechanism", "m.json", "--types", "0,1", "--mode", "x"],
+    "missing env": ["export", "--mechanism", "construct_debt.json"],
+    "no command": [],
+}
+
+
+@pytest.mark.parametrize("argv", USAGE_ERRORS.values(), ids=USAGE_ERRORS)
+def test_usage_error_exits_1_with_one_line(argv, capsys, monkeypatch):
+    monkeypatch.chdir(GOLD)
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.fullmatch(r"error: [^\n]+\n", captured.err)
 
 
 def test_compare_grid_mismatch(tmp_path):

@@ -149,6 +149,22 @@ class TestFeasibility:
         m = uniform_mech(a=1.2)
         assert not check_feasible(m, env).passed
 
+    @pytest.mark.parametrize("x_hi", [1.0, 1e6])
+    @pytest.mark.parametrize("a0", [1 + 5e-7, -5e-7, 1 + 5e-13, -5e-13])
+    def test_audit_bound_does_not_scale_with_the_span(self, x_hi, a0):
+        # probabilities are unitless: whatever check_feasible accepts, the
+        # audit cost (and so report) accepts too, at every span
+        env = make_env(x_hi=x_hi)
+        grid = np.linspace(0.0, x_hi, 5)
+        m = mech(grid, [a0, 0, 0, 0, 0], np.zeros(5), np.zeros(5))
+        accepted = check_feasible(m, env).passed
+        assert accepted == (abs(a0 - np.clip(a0, 0.0, 1.0)) <= 1e-12)
+        if accepted:
+            report(m, env)
+        else:
+            with pytest.raises(DomainError):
+                report(m, env)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("name", ["grid", "a", "r_p", "r_empty"])
     def test_non_finite_entry_rejected(self, name, bad):

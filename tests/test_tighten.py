@@ -111,11 +111,16 @@ def test_lost_input_point_is_guarantee_error(lost, monkeypatch, capsys):
 @pytest.mark.parametrize("scale", [1e-3, 1e3, 1e6])
 def test_constructor_outputs_tighten_at_every_scale(scale):
     # x, tau and the cost scale all grow by `scale`; the guarantees hold to
-    # a tolerance relative to the span, so tightening never raises
+    # a tolerance relative to the span, so tightening never raises, and a
+    # constructor output is a fixed point whose revenue does not rise
     env = make_env(tau=0.5 * scale, k=0.1 * scale, x_hi=scale)
     rng = np.random.default_rng(70)
     for _ in range(10):
-        tighten(build_efficient(random_loss_function(env, rng), env, 401), env)
+        m = build_efficient(random_loss_function(env, rng), env, 401)
+        rep = tighten(m, env)
+        assert not rep.audit_reduced
+        assert not rep.revenue_increased
+        assert is_fixed_point(m, env)
 
 
 class TestGuarantees:
