@@ -6,8 +6,8 @@ export.  Each command accepts only the flags it reads:
   all commands                          --env (required), --out
   validate, construct                   --lambda or --seed (exactly one), --grid
   validate, construct, tighten          --format json|csv
-  validate, check, compare              --tol
-  tighten, check, compare, bruteforce,  --mechanism (required; twice for
+  validate, check, compare              --tol (finite, >= 0)
+  tighten, check, compare, bruteforce,  --mechanism (required once; twice for
   export                                compare: candidate, baseline)
   bruteforce                            --types (required), --q,
                                         --refund-levels, --mode
@@ -16,16 +16,18 @@ Exit code 0 means success or a passing verdict, 2 a semantic negative
 (invalid loss function, refuted certificate, dominated mechanism), 1 a
 usage or I/O error or a failed internal guarantee.  Usage errors include
 every argument-parsing error (an unknown flag, a flag of another command, a
-bad choice, a missing flag or command); each prints one ``error:`` line on
-stderr.  Outputs are byte-stable for fixed inputs and seed: JSON keys are
-sorted and CSV numbers carry 12 significant digits with dot decimals, comma
-delimiters, and LF line endings.
+bad choice or value, a missing or repeated flag, a missing command); each
+prints one ``error:`` line on stderr.  Outputs are byte-stable for fixed
+inputs and seed: JSON keys are sorted and CSV numbers carry 12 significant
+digits with dot decimals, comma delimiters, and LF line endings.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import math
 import sys
 
 import numpy as np
@@ -197,8 +199,6 @@ def _cmd_check(args) -> int:
 
 def _cmd_compare(args) -> int:
     env = _load_env(args)
-    if len(args.mechanism) != 2:
-        raise _UsageError("compare needs --mechanism given exactly twice (candidate, baseline)")
     m_star = _load_mechanism(args.mechanism[0])
     m = _load_mechanism(args.mechanism[1])
     tol = args.tol if args.tol is not None else certify.COMPARE_TOL
@@ -238,6 +238,16 @@ _HANDLERS = {
 }
 
 
+def _tolerance(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value >= 0.0):
+        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="samurai", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -253,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
         if name in ("validate", "construct", "tighten"):
             p.add_argument("--format", choices=("json", "csv"), default="json")
         if name in ("validate", "check", "compare"):
-            p.add_argument("--tol", type=float)
+            p.add_argument("--tol", type=_tolerance)
         if name not in ("validate", "construct"):
             p.add_argument("--mechanism", action="append", required=True)
         if name == "bruteforce":
@@ -264,12 +274,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser main uses, built on its first call: parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
     """Parse argv and run one command; returns the process exit code."""
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
         if "grid" in args and args.grid < 2:
             raise _UsageError("--grid must be >= 2")
+        if "mechanism" in args and len(args.mechanism) != (2 if args.command == "compare" else 1):
+            times = "twice (candidate, baseline)" if args.command == "compare" else "once"
+            raise _UsageError(f"{args.command} takes --mechanism {times}")
         return _HANDLERS[args.command](args)
     except _UsageError as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -17,9 +17,19 @@ from .errors import DomainError
 
 IC_TOL = 1e-9
 FEAS_TOL = 1e-12
-# Columns per block of the menu minimum: its working memory is
-# len(a) * MENU_BLOCK floats, whatever the grid size.
+# Columns per block of the menu minimum.  Whatever the grid size, its
+# working memory is at most about 1.4 * len(a) * MENU_BLOCK floats: the
+# evaluated lines of one block (every line at worst; on constructed
+# mechanisms 1-5% on average, up to about half right after a long linear
+# piece of the loss), held while the next MENU_BLOCK // 8 blocks are
+# scanned for lines to skip (23 bytes per line and block, about a third of
+# a full block).
 MENU_BLOCK = 128
+_SCAN_GROUP = MENU_BLOCK // 8
+_BELOW_DIAG = np.tri(MENU_BLOCK, k=-1, dtype=bool)
+_BELOW_DIAG.setflags(write=False)
+_EPS = np.finfo(float).eps
+_TINY = np.finfo(float).tiny
 
 
 @dataclass(frozen=True, eq=False)
@@ -131,25 +141,109 @@ def _menu_offsets(m: Mechanism) -> np.ndarray:
 def _menu_min(a: np.ndarray, x: np.ndarray, c: np.ndarray) -> np.ndarray:
     """Minimum over the menu lines a[i]*x + c[i] open to each type.
 
-    x is aligned with the last len(x) lines: entry k is the minimum of
-    a[i]*x[k] + c[i] over i <= len(a) - len(x) + k.  The terms are evaluated
-    MENU_BLOCK columns at a time, with the lines of types above each column's
-    own set to +inf.  Each term is the same float product and sum as in a
-    full table and min is exact, so the block width does not change the result.
+    x is increasing and aligned with the last len(x) lines: entry k is the
+    minimum of a[i]*x[k] + c[i] over i <= len(a) - len(x) + k.  The terms are
+    evaluated MENU_BLOCK columns at a time: first the lines open on all of
+    the block that can reach its minimum, in index order, then its diagonal
+    tile, the lines that open inside it, each set to +inf at the columns of
+    the types below its own.
+
+    Skip rule.  A block with more than MENU_BLOCK lines before its tile
+    (fewer would save less than the scan costs), in an input of more than
+    one column (a column's scan would be its evaluation), gets two probes:
+    at its first and at its last column, the first minimizer among the lines
+    open on all of it.  A line is skipped when, at both columns, its term
+    exceeds the same probe's term by more than the margin
+
+        8 * eps * (max|a| * max|x| + max|c|) + 4 * tiny.
+
+    A computed term is within eps * (max|a| * max|x| + max|c|) of its real
+    line, and the real difference of two lines is linear in x.  So a line
+    more than four such errors above the probe at both ends is strictly above
+    it at every column between; the margin is twice that, which also covers
+    the rounding of the comparison and any underflow.  A probe skipped this
+    way is strictly above the other probe, which is kept.  Ties are kept, as
+    is anything compared with a non-finite term or margin.  A line that
+    repeats the line before it bit for bit is skipped too.
+
+    Exactness.  The result is bitwise the minimum over the full table of
+    terms: each term is the same float product and sum as in that table,
+    min is exact, and along the lines of a block it folds in index order.
+    A skipped line is strictly above an evaluated line at every column of
+    the block, and a repeat comes right after an identical line, so neither
+    changes the fold, not even the sign of a zero.
     """
-    shift = len(a) - len(x)
-    width = min(MENU_BLOCK, len(x))
-    buf = np.empty((len(a), width))
-    below_diag = np.tri(width, k=-1, dtype=bool)
-    out = np.empty(len(x))
-    for k0 in range(0, len(x), MENU_BLOCK):
-        k1 = min(k0 + MENU_BLOCK, len(x))
-        rows, w = shift + k1, k1 - k0
-        block = np.multiply.outer(a[:rows], x[k0:k1], out=buf[:rows, :w])
-        block += c[:rows, None]
-        block[rows - w :][below_diag[:w, :w]] = np.inf
-        out[k0:k1] = block.min(axis=0)
+    n = len(x)
+    width = min(MENU_BLOCK, n)
+    out = np.empty(n)
+    work = np.empty(0)
+    for group in _block_lines(a, x, c):
+        need = max(rows for _, _, rows in group) * width
+        if work.size < need:
+            work = np.empty(need)
+        for k0, lines, rows in group:
+            k1 = min(k0 + MENU_BLOCK, n)
+            w = k1 - k0
+            # rows keep a stride of `width` columns: numpy folds a strided
+            # column in line order, as every wider block, and only a
+            # one-column input (never skipped) across vector lanes
+            block = work[: rows * width].reshape(rows, width)[:, :w]
+            np.multiply.outer(a[lines], x[k0:k1], out=block)
+            block += c[lines, None]
+            block[rows - w :][_BELOW_DIAG[:w, :w]] = np.inf
+            out[k0:k1] = block.min(axis=0)
     return out
+
+
+def _block_lines(a, x, c):
+    """The blocks of _menu_min, a group at a time: per block its first
+    column, the lines to evaluate in index order, and their count.  Blocks
+    are scanned for lines to skip (see _menu_min) _SCAN_GROUP at a time."""
+    n = len(x)
+    shift = len(a) - n
+    full = [k0 for k0 in range(0, n, MENU_BLOCK) if n == 1 or shift + k0 <= MENU_BLOCK]
+    group = [(k0, slice(0, shift + min(k0 + MENU_BLOCK, n)), shift + min(k0 + MENU_BLOCK, n)) for k0 in full]
+    scanned = np.arange(len(full) * MENU_BLOCK, n, MENU_BLOCK)
+    if len(scanned):
+        margin = 8 * _EPS * (np.abs(a).max() * max(abs(x[0]), abs(x[-1])) + np.abs(c).max()) + 4 * _TINY
+        bits_a, bits_c = a.view(np.int64), c.view(np.int64)
+        repeats = (bits_a[1:] == bits_a[:-1]) & (bits_c[1:] == bits_c[:-1])
+    for j in range(0, len(scanned), _SCAN_GROUP):
+        starts = scanned[j : j + _SCAN_GROUP]
+        keep = _kept_lines(a, x, c, shift, starts, margin, repeats)
+        for k0, kept in zip(starts.tolist(), keep):
+            opened = shift + k0
+            lines = np.concatenate((np.flatnonzero(kept[:opened]), np.arange(opened, shift + min(k0 + MENU_BLOCK, n))))
+            group.append((k0, lines, len(lines)))
+        yield group
+        group = []
+    if group:
+        yield group
+
+
+def _kept_lines(a, x, c, shift, starts, margin, repeats):
+    """keep[j, i]: whether line i, open on all of the block starting at
+    column starts[j], may reach that block's minimum (see _menu_min).  Its
+    tables are freed on return, before the blocks are evaluated."""
+    g = len(starts)
+    opened = (shift + starts).tolist()
+    rows = opened[-1] + 1
+    ends = x[np.concatenate((starts, np.minimum(starts + MENU_BLOCK, len(x)) - 1))]
+    terms = np.multiply.outer(ends, a[:rows])
+    terms += c[:rows]
+    for j, last in enumerate(opened[:-1]):
+        # a line that opens inside a block bounds nothing before it opens
+        terms[j, last + 1 :] = np.inf
+        terms[g + j, last + 1 :] = np.inf
+    terms = terms.reshape(2, g, rows)  # (end, block, line)
+    probe = terms.argmin(axis=2)  # (end the probe minimizes, block)
+    bound = terms[:, np.arange(g), probe]  # (end, probe's end, block)
+    bound += margin
+    above = terms[:, None] > bound[..., None]
+    skip = np.logical_and(above[0], above[1])
+    skip = np.logical_or(skip[0], skip[1])
+    skip[:, 1:] |= repeats[: rows - 1]
+    return np.logical_not(skip, out=skip)
 
 
 # -- scalar accessors --------------------------------------------------------
@@ -230,12 +324,19 @@ def system_holds(grid, lam_values, a_values, env: Environment) -> CheckResult:
 
     Checks, for all grid pairs y <= x,
         loss(x) <= a(y)*x + min{(1-a(y))*y, loss(y) + a(y)*tau} + IC_TOL.
+    The tables must be aligned and finite (a NaN would pass every
+    inequality) and the grid strictly increasing, else ValueError.
     """
     grid = np.asarray(grid, dtype=float)
     lam = np.asarray(lam_values, dtype=float)
     a = np.asarray(a_values, dtype=float)
     if grid.shape != lam.shape or grid.shape != a.shape:
         raise ValueError("grid, loss table and audit table must be aligned")
+    for name, arr in (("grid", grid), ("loss table", lam), ("audit table", a)):
+        if not np.isfinite(arr).all():
+            raise ValueError(f"{name} must be finite")
+    if np.any(np.diff(grid) <= 0):
+        raise ValueError("grid must be strictly increasing")
     phi = np.minimum((1.0 - a) * grid, lam + a * env.tau)
     slack = _menu_min(a, grid, phi) - lam
     bad = np.nonzero(slack < -IC_TOL)[0]

@@ -108,6 +108,20 @@ USAGE_ERRORS = {
     "bad mode": ["bruteforce", "--env", "env_lin.json", "--mechanism", "m.json", "--types", "0,1", "--mode", "x"],
     "missing env": ["export", "--mechanism", "construct_debt.json"],
     "no command": [],
+    "tighten, two mechanisms": ["tighten", "--env", "env_lin.json", "--mechanism", "construct_debt.json",
+                                "--mechanism", "nope.json"],
+    "check, two mechanisms": ["check", "--env", "env_lin.json", "--mechanism", "construct_debt.json",
+                              "--mechanism", "nope.json"],
+    "bruteforce, two mechanisms": ["bruteforce", "--env", "env_lin.json", "--mechanism", "construct_debt.json",
+                                   "--mechanism", "nope.json", "--types", "0,1"],
+    "export, two mechanisms": ["export", "--env", "env_lin.json", "--mechanism", "construct_debt.json",
+                               "--mechanism", "nope.json"],
+    "compare, one mechanism": ["compare", "--env", "env_lin.json", "--mechanism", "construct_debt.json"],
+    "check --tol nan": ["check", "--env", "env_lin.json", "--mechanism", "construct_debt.json", "--tol", "nan"],
+    "check --tol -1": ["check", "--env", "env_lin.json", "--mechanism", "construct_debt.json", "--tol", "-1"],
+    "validate --tol inf": ["validate", "--env", "env_lin.json", "--lambda", "lambda_debt.json", "--tol", "inf"],
+    "compare --tol -1e-9": ["compare", "--env", "env_lin.json", "--mechanism", "construct_debt.json",
+                            "--mechanism", "construct_debt.json", "--tol", "-1e-9"],
 }
 
 
@@ -204,3 +218,13 @@ def test_check_computes_core_clauses_once(tmp_path, monkeypatch):
         cli.main(["check", "--env", str(GOLD / "env_lin.json"), "--mechanism", str(GOLD / mechanism), "--out", str(out)])
         assert out.read_bytes() == (GOLD / golden).read_bytes()
     assert len(calls) == 2
+
+
+def test_main_builds_its_parser_once(monkeypatch, capsys):
+    built = []
+    monkeypatch.setattr(cli, "build_parser", lambda real=cli.build_parser: built.append(1) or real())
+    cli._parser.cache_clear()
+    argv = ["validate", "--env", str(GOLD / "env_lin.json"), "--lambda", str(GOLD / "lambda_debt.json")]
+    assert [cli.main(argv) for _ in range(3)] == [0, 0, 0]
+    assert len(built) == 1
+    capsys.readouterr()

@@ -8,19 +8,24 @@ from hypothesis import strategies as st
 from samurai import (
     DomainError,
     Mechanism,
+    PwlFunction,
+    build_efficient,
     check_feasible,
     check_ic,
     deviation_loss,
     deviation_loss_table,
     profit,
+    random_loss_function,
+    refunds_from,
     report,
     revenue,
     revenue_table,
     system_holds,
     utility,
+    validate_lambda,
 )
 from samurai.environment import CostFn, Environment
-from samurai.mechanism import MENU_BLOCK
+from samurai.mechanism import _SCAN_GROUP, MENU_BLOCK, _block_lines, _menu_min
 
 from conftest import make_env, random_mechanism
 
@@ -213,6 +218,24 @@ class TestSystem:
         grid = np.linspace(0, 1, 101)
         assert system_holds(grid, grid / 2, (1 - grid) / 2, env).passed
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("field", ["grid", "loss table", "audit table"])
+    def test_non_finite_table_rejected(self, env, field, bad):
+        # a NaN slack is never below -IC_TOL, so an unchecked NaN would pass
+        for i in range(5):
+            tables = {"grid": np.linspace(0, 1, 5), "loss table": np.minimum(np.linspace(0, 1, 5), 0.5),
+                      "audit table": np.where(np.linspace(0, 1, 5) < 0.5, 1.0, 0.0)}
+            tables[field][i] = bad
+            with pytest.raises(ValueError, match=f"^{field} must be finite$"):
+                system_holds(tables["grid"], tables["loss table"], tables["audit table"], env)
+            with pytest.raises(ValueError, match=f"^{field} must be finite$"):
+                refunds_from(tables["grid"], tables["loss table"], tables["audit table"], env)
+
+    def test_unsorted_grid_rejected(self, env):
+        grid = np.array([0.0, 0.5, 0.25, 1.0])
+        with pytest.raises(ValueError, match="^grid must be strictly increasing$"):
+            system_holds(grid, grid, np.ones(4), env)
+
     def test_every_ic_mechanism_satisfies_system(self):
         rng = np.random.default_rng(12)
         for tau in (0.0, 0.5):
@@ -316,6 +339,132 @@ class TestMenuKernel:
             finally:
                 tracemalloc.stop()
             assert peak < 64 * 2**20
+
+
+def lowest_by_columns(a, x, c):
+    """The minimum over the full table of terms a[i]*x[k] + c[i], folded in
+    line order over i <= len(a) - len(x) + k; 256 columns of the table at a
+    time, so large inputs stay small."""
+    shift = len(a) - len(x)
+    out = np.empty(len(x))
+    for k0 in range(0, len(x), 256):
+        lowest = np.minimum.accumulate(np.multiply.outer(a, x[k0 : k0 + 256]) + c[:, None], axis=0)
+        k = np.arange(k0, k0 + lowest.shape[1])
+        out[k] = lowest[shift + k, k - k0]
+    return out
+
+
+def assert_exact_kernel(a, x, c):
+    assert same_bits(_menu_min(a, x, c), lowest_by_columns(a, x, c))
+
+
+def assert_exact_mechanism(m, env, rng):
+    c = (1.0 - m.a) * (m.grid - m.r_empty)
+    table = deviation_loss_table(m)
+    assert same_bits(table, lowest_by_columns(m.a, m.grid, c))
+    for j in {0, 1, len(m) // 2, len(m) - 1} & set(range(len(m))):
+        assert same_bits(np.array([deviation_loss(m, float(m.grid[j]))]), table[j : j + 1])
+    lam = table + np.where(rng.uniform(size=len(m)) < 0.1, rng.uniform(0, 0.05, len(m)), 0.0)
+    assert system_holds(m.grid, lam, m.a, env).violations == reference_system(m.grid, lam, m.a, env)
+
+
+# sizes at block edges, past the first blocks evaluated in full, and past a scan group
+EDGE_SIZES = [1, 2, 3, MENU_BLOCK + 1, 2 * MENU_BLOCK + 1, 2 * MENU_BLOCK + 2, 3 * MENU_BLOCK, 3 * MENU_BLOCK + 3,
+              5 * MENU_BLOCK + 1]
+GROUP_EDGE = (2 + _SCAN_GROUP) * MENU_BLOCK + 1
+
+
+class TestSkippingMenuKernel:
+    """The kernel skips lines that cannot reach a block's minimum; every
+    family below must still give the full table's minimum bit for bit."""
+
+    @pytest.mark.parametrize("tau", [0.0, 0.5])
+    def test_constructed_mechanisms(self, tau):
+        env = make_env(tau=tau)
+        rng = np.random.default_rng(int(tau * 10))
+        xs = np.linspace(0.0, 1.0, 400)
+        curved = validate_lambda(PwlFunction(xs, xs - xs**2 / 2), env)
+        for lam, grid in [(random_loss_function(env, rng), 300), (random_loss_function(env, rng), 700),
+                          (curved, 300), (curved, 2 * MENU_BLOCK + 1)]:
+            assert_exact_mechanism(build_efficient(lam, env, grid), env, rng)
+
+    @pytest.mark.parametrize("n", EDGE_SIZES + [GROUP_EDGE])
+    def test_random_ic_mechanisms(self, n):
+        rng = np.random.default_rng(n)
+        env = make_env(tau=0.5)
+        assert_exact_mechanism(random_mechanism(env, rng, n), env, rng)
+
+    @pytest.mark.parametrize("n", EDGE_SIZES + [GROUP_EDGE])
+    def test_identical_lines(self, n):
+        # every type audited, nothing refunded: all lines are x itself
+        m = uniform_mech(n, a=1.0)
+        assert same_bits(deviation_loss_table(m), m.grid)
+        assert_exact_kernel(m.a, m.grid, (1.0 - m.a) * (m.grid - m.r_empty))
+
+    @pytest.mark.parametrize("n", EDGE_SIZES)
+    def test_tangent_lines_of_a_concave_function(self, n):
+        # every line is the minimum at its own type and near it elsewhere
+        grid = np.linspace(0.0, 1.0, n)
+        m = mech(grid, 1.0 - grid, np.zeros(n), grid / 2)  # tangents of y - y^2/2
+        assert_exact_kernel(m.a, m.grid, (1.0 - m.a) * (m.grid - m.r_empty))
+        y = np.linspace(0.01, 4.0, n)  # tangents of sqrt(y)
+        assert_exact_kernel(0.5 / np.sqrt(y), y, np.sqrt(y) / 2)
+
+    def test_lines_crossing_by_rounding_alone(self):
+        # Line 1 is line 0 with slope and offset one ulp apart (a pair found
+        # by search).  On the third block's columns their terms differ by
+        # rounding alone: line 1 is above line 0 at both ends and below it at
+        # columns between, so only the margin keeps it from being skipped.
+        a0, c0 = 0.744358894104683, -0.4190551478977306
+        a1, c1 = np.nextafter(a0, 2.0), np.nextafter(c0, -2.0)
+        x = np.concatenate((np.linspace(0.0, 0.7, 2 * MENU_BLOCK, endpoint=False),
+                            np.linspace(0.7420339295567433, 0.7920339295567433, MENU_BLOCK)))
+        a, c = np.full(3 * MENU_BLOCK, a0), np.full(3 * MENU_BLOCK, c0)
+        a[1], c[1] = a1, c1
+        gap = (a1 * x + c1) - (a0 * x + c0)
+        assert gap[2 * MENU_BLOCK] > 0 and gap[-1] > 0 and (gap[2 * MENU_BLOCK :] < 0).any()
+        assert_exact_kernel(a, x, c)
+
+    @pytest.mark.parametrize("n", EDGE_SIZES)
+    def test_negative_slopes_grids_and_signed_zeros(self, n):
+        rng = np.random.default_rng(100 + n)
+        x = np.linspace(-3.0, 1.0, n)
+        x[np.argmin(np.abs(x))] = -0.0
+        a = rng.uniform(-1.0, 1.0, n)
+        c = rng.uniform(-1.0, 1.0, n)
+        # lines with +-0 slope and offset tie at zero with either sign
+        zero = rng.uniform(size=n) < 0.4
+        a[zero] = rng.choice([0.0, -0.0], zero.sum())
+        c[zero] = rng.choice([0.0, -0.0], zero.sum())
+        for i in np.nonzero(rng.uniform(size=n) < 0.2)[0]:
+            if i > 0:
+                a[i], c[i] = a[i - 1], c[i - 1]
+        assert_exact_kernel(a, x, c)
+        assert_exact_kernel(a, -x[::-1], c)
+
+    def test_shifted_columns(self):
+        rng = np.random.default_rng(7)
+        env = make_env(tau=0.5)
+        m = random_mechanism(env, rng, 5 * MENU_BLOCK + 3)
+        c = (1.0 - m.a) * (m.grid - m.r_empty)
+        lowest = lowest_by_columns(m.a, m.grid, c)
+        for j in (0, 1, MENU_BLOCK + 1, 2 * MENU_BLOCK + 5, len(m) - 1):
+            assert same_bits(np.array([deviation_loss(m, float(m.grid[j]))]), lowest[j : j + 1])
+        for cols in (2, 3, MENU_BLOCK + 1, 3 * MENU_BLOCK):
+            assert_exact_kernel(m.a, m.grid[-cols:], c)
+
+    def test_skip_rule(self):
+        # On the third block line 1 is the probe (term 0 at both ends).  Line
+        # 0 lies more than the margin above it and is skipped; line 5 lies
+        # exactly the margin above it and line 6 ties it, so both are kept;
+        # lines 2-4 and 7 on repeat the line before them bit for bit.
+        n = 3 * MENU_BLOCK
+        a, c = np.zeros(n), np.zeros(n)
+        c[0] = 1.0
+        c[5] = 8 * np.finfo(float).eps * 1.0 + 4 * np.finfo(float).tiny
+        blocks = {k0: lines for group in _block_lines(a, np.linspace(0, 1, n), c) for k0, lines, _ in group}
+        lines = blocks[2 * MENU_BLOCK]
+        assert lines[lines < 2 * MENU_BLOCK].tolist() == [1, 5, 6]
 
 
 def test_json_roundtrip_bit_identical(env):
