@@ -44,7 +44,7 @@ from .mechanism import (
     utility,
 )
 from .oracle import DiscreteInstance, bruteforce_deviation_loss, enumerate_feasible_ic, is_undominated
-from .pwl import AffineLine, PwlFunction, affine_lower_envelope, running_max_floor
+from .pwl import PwlFunction, affine_lower_envelope, running_max_floor
 from .tighten import TightenReport, is_fixed_point, tighten
 
 __version__ = "0.1.0"

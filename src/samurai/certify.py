@@ -15,16 +15,14 @@ import numpy as np
 
 from .audit_schedule import AuditSchedule
 from .environment import Environment
-from .errors import GridMismatchError, PreconditionError
+from .errors import GridMismatchError
 from .lambda_space import lambda_violations
 from .mechanism import (
     Mechanism,
     MechanismReport,
-    check_feasible,
-    check_ic,
+    _require_feasible_ic,
     deviation_loss_table,
     profit_table,
-    report,
     revenue_table,
 )
 from .pwl import PwlFunction
@@ -73,18 +71,6 @@ class Certificate:
         raise KeyError(name)
 
 
-def _require_mechanism(m: Mechanism, env: Environment, rep: MechanismReport | None = None) -> MechanismReport:
-    feas = check_feasible(m, env)
-    if not feas.passed:
-        raise PreconditionError("mechanism is not feasible", certificate=feas)
-    if rep is None:
-        rep = report(m, env)
-    ic = check_ic(m, env, rep)
-    if not ic.passed:
-        raise PreconditionError("mechanism is not incentive compatible", certificate=ic)
-    return rep
-
-
 def _core_clauses(m: Mechanism, env: Environment, rep: MechanismReport, tol: float):
     lam_m = rep.deviation_loss
     interp = PwlFunction(m.grid.copy(), lam_m.copy())
@@ -130,7 +116,7 @@ def certify_efficient(
     All three core clauses passing is sufficient for efficiency; any failure
     refutes both efficiency and tightness.
     """
-    return _efficient(_core_clauses(m, env, _require_mechanism(m, env, rep), tol))
+    return _efficient(_core_clauses(m, env, _require_feasible_ic(m, env, rep), tol))
 
 
 def certify_tight_necessary(
@@ -143,13 +129,13 @@ def certify_tight_necessary(
     revenue, utility, or audits, so a deviation from the canonical pattern
     does not refute.  Never returns a "certified tight" verdict.
     """
-    return _tight_necessary(m, env, _core_clauses(m, env, _require_mechanism(m, env, rep), tol), tol)
+    return _tight_necessary(m, env, _core_clauses(m, env, _require_feasible_ic(m, env, rep), tol), tol)
 
 
 def certify_both(m: Mechanism, env: Environment, tol: float = CERT_TOL) -> tuple[Certificate, Certificate]:
     """``certify_efficient`` and ``certify_tight_necessary`` of ``m`` from one
     evaluation of the core clauses they share."""
-    core = _core_clauses(m, env, _require_mechanism(m, env, None), tol)
+    core = _core_clauses(m, env, _require_feasible_ic(m, env), tol)
     return _efficient(core), _tight_necessary(m, env, core, tol)
 
 

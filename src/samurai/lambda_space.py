@@ -15,7 +15,7 @@ import numpy as np
 
 from .environment import Environment
 from .errors import DomainError, LambdaValidationError
-from .pwl import AffineLine, PwlFunction, affine_lower_envelope, running_max_floor
+from .pwl import PwlFunction, affine_lower_envelope, running_max_floor
 
 # Relative slack for the monotonicity / concavity clauses, absolute slack
 # for the anchor clause, and the largest identity overshoot that is clamped
@@ -129,13 +129,18 @@ def virtual_loss(grid, lam_values, a_values, env: Environment) -> LossFunction:
     envelope of the family, validated before return.
 
     When the pair satisfies the downward-deviation inequality system the
-    result additionally dominates the input table pointwise.
+    result additionally dominates the input table pointwise.  The tables
+    must be aligned and finite (a NaN passes every comparison below), else
+    DomainError.
     """
     grid = np.asarray(grid, dtype=float)
     lam = np.asarray(lam_values, dtype=float)
     a = np.asarray(a_values, dtype=float)
     if grid.shape != lam.shape or grid.shape != a.shape:
         raise DomainError("grid, loss table and audit table must be aligned")
+    for name, arr in (("grid", grid), ("loss table", lam), ("audit table", a)):
+        if not np.isfinite(arr).all():
+            raise DomainError(f"{name} must be finite")
     if len(grid) < 2 or np.any(np.diff(grid) <= 0):
         raise DomainError("grid must be strictly increasing with >= 2 points")
     span = max(1.0, env.span)
@@ -156,8 +161,7 @@ def virtual_loss(grid, lam_values, a_values, env: Environment) -> LossFunction:
     plus_values = plus.eval(grid)
 
     intercepts = np.minimum((1.0 - a) * grid, plus_values + a * env.tau)
-    lines = [AffineLine(float(s), float(b)) for s, b in zip(a, intercepts)]
-    envelope = affine_lower_envelope(lines, (env.x_lo, env.x_hi))
+    envelope = affine_lower_envelope(a, intercepts, (env.x_lo, env.x_hi))
     return validate_lambda(envelope, env)
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .environment import Environment, cost_eval
-from .errors import DomainError
+from .errors import DomainError, PreconditionError
 
 IC_TOL = 1e-9
 FEAS_TOL = 1e-12
@@ -131,28 +131,23 @@ def deviation_loss_table(m: Mechanism) -> np.ndarray:
     Each grid point y contributes the menu line a(y)*x + (1-a(y))*(y - r_empty(y));
     the loss at x is the minimum over the lines with y <= x.
     """
-    return _menu_min(m.a, m.grid, _menu_offsets(m))
-
-
-def _menu_offsets(m: Mechanism) -> np.ndarray:
-    return (1.0 - m.a) * (m.grid - m.r_empty)
+    return _menu_min(m.a, m.grid, (1.0 - m.a) * (m.grid - m.r_empty))
 
 
 def _menu_min(a: np.ndarray, x: np.ndarray, c: np.ndarray) -> np.ndarray:
     """Minimum over the menu lines a[i]*x + c[i] open to each type.
 
-    x is increasing and aligned with the last len(x) lines: entry k is the
-    minimum of a[i]*x[k] + c[i] over i <= len(a) - len(x) + k.  The terms are
-    evaluated MENU_BLOCK columns at a time: first the lines open on all of
-    the block that can reach its minimum, in index order, then its diagonal
-    tile, the lines that open inside it, each set to +inf at the columns of
-    the types below its own.
+    a, x and c are aligned and x is increasing: entry k is the minimum of
+    a[i]*x[k] + c[i] over i <= k.  The terms are evaluated MENU_BLOCK
+    columns at a time: first the lines open on all of the block that can
+    reach its minimum, in index order, then its diagonal tile, the lines
+    that open inside it, each set to +inf at the columns of the types below
+    its own.
 
     Skip rule.  A block with more than MENU_BLOCK lines before its tile
-    (fewer would save less than the scan costs), in an input of more than
-    one column (a column's scan would be its evaluation), gets two probes:
-    at its first and at its last column, the first minimizer among the lines
-    open on all of it.  A line is skipped when, at both columns, its term
+    (fewer would save less than the scan costs) gets two probes: at its
+    first and at its last column, the first minimizer among the lines open
+    on all of it.  A line is skipped when, at both columns, its term
     exceeds the same probe's term by more than the margin
 
         8 * eps * (max|a| * max|x| + max|c|) + 4 * tiny.
@@ -185,8 +180,7 @@ def _menu_min(a: np.ndarray, x: np.ndarray, c: np.ndarray) -> np.ndarray:
             k1 = min(k0 + MENU_BLOCK, n)
             w = k1 - k0
             # rows keep a stride of `width` columns: numpy folds a strided
-            # column in line order, as every wider block, and only a
-            # one-column input (never skipped) across vector lanes
+            # column in line order, as every wider block
             block = work[: rows * width].reshape(rows, width)[:, :w]
             np.multiply.outer(a[lines], x[k0:k1], out=block)
             block += c[lines, None]
@@ -200,9 +194,8 @@ def _block_lines(a, x, c):
     column, the lines to evaluate in index order, and their count.  Blocks
     are scanned for lines to skip (see _menu_min) _SCAN_GROUP at a time."""
     n = len(x)
-    shift = len(a) - n
-    full = [k0 for k0 in range(0, n, MENU_BLOCK) if n == 1 or shift + k0 <= MENU_BLOCK]
-    group = [(k0, slice(0, shift + min(k0 + MENU_BLOCK, n)), shift + min(k0 + MENU_BLOCK, n)) for k0 in full]
+    full = range(0, min(n, MENU_BLOCK + 1), MENU_BLOCK)  # at most MENU_BLOCK lines before the tile
+    group = [(k0, slice(0, min(k0 + MENU_BLOCK, n)), min(k0 + MENU_BLOCK, n)) for k0 in full]
     scanned = np.arange(len(full) * MENU_BLOCK, n, MENU_BLOCK)
     if len(scanned):
         margin = 8 * _EPS * (np.abs(a).max() * max(abs(x[0]), abs(x[-1])) + np.abs(c).max()) + 4 * _TINY
@@ -210,10 +203,9 @@ def _block_lines(a, x, c):
         repeats = (bits_a[1:] == bits_a[:-1]) & (bits_c[1:] == bits_c[:-1])
     for j in range(0, len(scanned), _SCAN_GROUP):
         starts = scanned[j : j + _SCAN_GROUP]
-        keep = _kept_lines(a, x, c, shift, starts, margin, repeats)
+        keep = _kept_lines(a, x, c, starts, margin, repeats)
         for k0, kept in zip(starts.tolist(), keep):
-            opened = shift + k0
-            lines = np.concatenate((np.flatnonzero(kept[:opened]), np.arange(opened, shift + min(k0 + MENU_BLOCK, n))))
+            lines = np.concatenate((np.flatnonzero(kept[:k0]), np.arange(k0, min(k0 + MENU_BLOCK, n))))
             group.append((k0, lines, len(lines)))
         yield group
         group = []
@@ -221,12 +213,12 @@ def _block_lines(a, x, c):
         yield group
 
 
-def _kept_lines(a, x, c, shift, starts, margin, repeats):
+def _kept_lines(a, x, c, starts, margin, repeats):
     """keep[j, i]: whether line i, open on all of the block starting at
     column starts[j], may reach that block's minimum (see _menu_min).  Its
     tables are freed on return, before the blocks are evaluated."""
     g = len(starts)
-    opened = (shift + starts).tolist()
+    opened = starts.tolist()
     rows = opened[-1] + 1
     ends = x[np.concatenate((starts, np.minimum(starts + MENU_BLOCK, len(x)) - 1))]
     terms = np.multiply.outer(ends, a[:rows])
@@ -262,7 +254,7 @@ def profit(m: Mechanism, env: Environment, x: float) -> float:
 
 def deviation_loss(m: Mechanism, x: float) -> float:
     j = m.index_of(x)
-    return float(_menu_min(m.a[: j + 1], m.grid[j : j + 1], _menu_offsets(m)[: j + 1])[0])
+    return float(deviation_loss_table(m)[j])
 
 
 def report(m: Mechanism, env: Environment) -> MechanismReport:
@@ -317,6 +309,20 @@ def check_ic(m: Mechanism, env: Environment, rep: MechanismReport | None = None)
     if rep is None:
         rep = report(m, env)
     return CheckResult("incentive-compatible", rep.ic, rep.ic_witnesses)
+
+
+def _require_feasible_ic(m: Mechanism, env: Environment, rep: MechanismReport | None = None) -> MechanismReport:
+    """The report of a feasible IC mechanism; PreconditionError, carrying the
+    failed check, otherwise."""
+    feas = check_feasible(m, env)
+    if not feas.passed:
+        raise PreconditionError("mechanism is not feasible", certificate=feas)
+    if rep is None:
+        rep = report(m, env)
+    ic = check_ic(m, env, rep)
+    if not ic.passed:
+        raise PreconditionError("mechanism is not incentive compatible", certificate=ic)
+    return rep
 
 
 def system_holds(grid, lam_values, a_values, env: Environment) -> CheckResult:

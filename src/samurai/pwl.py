@@ -9,7 +9,7 @@ preset grid and the chord suprema taken later need them exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -92,23 +92,6 @@ class PwlFunction:
         return self.eval(x)
 
 
-@dataclass(frozen=True)
-class AffineLine:
-    """A line ``slope*x + intercept`` with slope restricted to [0, 1]."""
-
-    slope: float
-    intercept: float
-
-    def __post_init__(self):
-        if not (-1e-9 <= self.slope <= 1 + 1e-9):
-            raise ValueError(f"slope must lie in [0, 1], got {self.slope}")
-        object.__setattr__(self, "slope", float(min(1.0, max(0.0, self.slope))))
-        object.__setattr__(self, "intercept", float(self.intercept))
-
-    def at(self, x):
-        return self.slope * x + self.intercept
-
-
 def _merge_close(xs: list, vs: list, atol: float):
     """Drop breakpoints whose x is within ``atol`` of the previous kept one."""
     out_x = [xs[0]]
@@ -161,53 +144,60 @@ def running_max_floor(f: PwlFunction, floor: float) -> PwlFunction:
     return PwlFunction(np.array(out_x), np.array(out_v))
 
 
-def _intersect_x(upper: AffineLine, lower: AffineLine) -> float:
-    # x where the steeper line (upper) drops below the flatter one (lower)
-    return (lower.intercept - upper.intercept) / (upper.slope - lower.slope)
-
-
-def affine_lower_envelope(lines, domain) -> PwlFunction:
-    """Pointwise minimum of a family of affine lines, restricted to ``domain``.
+def affine_lower_envelope(slopes, intercepts, domain) -> PwlFunction:
+    """Pointwise minimum of the lines ``slopes[i]*x + intercepts[i]``,
+    restricted to ``domain``.
 
     The scan is the dual of a convex hull: sort by slope descending (the
     active order left to right for a minimum), drop duplicate slopes keeping
     the lower intercept, then eliminate lines whose active interval is empty
     by pairwise intersections.  The result is concave and weakly increasing
-    because every slope lies in [0, 1].
+    because every slope lies in [0, 1]; a slope outside it or a non-finite
+    line is a ValueError.
     """
-    lines = list(lines)
-    if not lines:
+    s = np.asarray(slopes, dtype=float) + 0.0  # a -0.0 slope counts as +0.0
+    b = np.asarray(intercepts, dtype=float)
+    if s.ndim != 1 or s.shape != b.shape:
+        raise ValueError("slopes and intercepts must be two aligned 1-d arrays")
+    if not len(s):
         raise ValueError("need at least one line")
+    if not (np.isfinite(s).all() and np.isfinite(b).all()):
+        raise ValueError("slopes and intercepts must be finite")
+    if np.any(s < 0.0) or np.any(s > 1.0):
+        raise ValueError("slopes must lie in [0, 1]")
     lo, hi = float(domain[0]), float(domain[1])
     if not lo < hi:
         raise ValueError(f"empty domain [{lo}, {hi}]")
 
-    lines.sort(key=lambda L: (-L.slope, L.intercept))
+    order = np.lexsort((b, -s))
     slope_tol = 1e-14
-    pruned: list[AffineLine] = []
-    for L in lines:
-        if pruned and pruned[-1].slope - L.slope <= slope_tol:
+    pruned: list[tuple[float, float]] = []  # (slope, intercept)
+    for line in zip(s[order].tolist(), b[order].tolist()):
+        if pruned and pruned[-1][0] - line[0] <= slope_tol:
             # effectively parallel: only the lower intercept can win, and the
             # slope gap moves the minimum by at most slope_tol * domain width
-            if L.intercept < pruned[-1].intercept:
-                pruned[-1] = L
+            if line[1] < pruned[-1][1]:
+                pruned[-1] = line
             continue
-        pruned.append(L)
+        pruned.append(line)
 
-    hull: list[AffineLine] = [pruned[0]]
-    starts: list[float] = [-np.inf]  # where each hull line becomes active
-    for L in pruned[1:]:
+    hull = [pruned[0]]
+    starts = [-np.inf]  # where each hull line becomes active
+    for line in pruned[1:]:
+        s1, b1 = line
         while hull:
-            xc = _intersect_x(hull[-1], L)
+            # x where the steeper hull line drops below the flatter new one
+            s0, b0 = hull[-1]
+            xc = (b1 - b0) / (s0 - s1)
             if xc <= starts[-1]:
                 hull.pop()
                 starts.pop()
                 continue
-            hull.append(L)
+            hull.append(line)
             starts.append(xc)
             break
         if not hull:
-            hull.append(L)
+            hull.append(line)
             starts.append(-np.inf)
 
     # clip the active intervals to [lo, hi]
@@ -218,17 +208,20 @@ def affine_lower_envelope(lines, domain) -> PwlFunction:
     while last > first and starts[last] >= hi:
         last -= 1
 
+    def at(k, x):
+        return hull[k][0] * x + hull[k][1]
+
     out_x = [lo]
-    out_v = [hull[first].at(lo)]
+    out_v = [at(first, lo)]
     for k in range(first + 1, last + 1):
         out_x.append(starts[k])
-        out_v.append(hull[k].at(starts[k]))
+        out_v.append(at(k, starts[k]))
     out_x.append(hi)
-    out_v.append(hull[last].at(hi))
+    out_v.append(at(last, hi))
 
     atol = BREAKPOINT_MERGE_ATOL * max(1.0, hi - lo)
     out_x, out_v = _merge_close(out_x, out_v, atol)
     if len(out_x) < 2:  # everything merged into one point; rebuild endpoints
         out_x = [lo, hi]
-        out_v = [hull[first].at(lo), hull[last].at(hi)]
+        out_v = [at(first, lo), at(last, hi)]
     return PwlFunction(np.array(out_x), np.array(out_v))

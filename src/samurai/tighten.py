@@ -16,9 +16,9 @@ import numpy as np
 from .audit_schedule import AuditSchedule
 from .constructor import merge_grid, refunds_from, support_types
 from .environment import Environment, cost_eval
-from .errors import GuaranteeError, PreconditionError
+from .errors import GuaranteeError
 from .lambda_space import LossFunction, virtual_loss
-from .mechanism import Mechanism, check_feasible, check_ic, deviation_loss_table, report, revenue_table
+from .mechanism import Mechanism, _require_feasible_ic, deviation_loss_table, revenue_table
 
 GUARANTEE_TOL = 1e-9
 FIXED_POINT_TOL = 1e-8
@@ -60,14 +60,7 @@ def _input_indices(grid_out: np.ndarray, grid_in: np.ndarray) -> np.ndarray:
 
 def tighten(m: Mechanism, env: Environment) -> TightenReport:
     """One pass of the improvement operator on a feasible IC mechanism."""
-    feas = check_feasible(m, env)
-    if not feas.passed:
-        raise PreconditionError("mechanism is not feasible", certificate=feas)
-    rep = report(m, env)
-    ic = check_ic(m, env, rep)
-    if not ic.passed:
-        raise PreconditionError("mechanism is not incentive compatible", certificate=ic)
-
+    rep = _require_feasible_ic(m, env)
     lam_m = rep.deviation_loss
     star = virtual_loss(m.grid, lam_m, m.a, env)
 

@@ -118,6 +118,16 @@ class TestVirtualLoss:
         with pytest.raises(DomainError):
             virtual_loss(np.linspace(0, 1, 10), np.zeros(11), np.zeros(10), env)
 
+    @pytest.mark.parametrize("field,column", [("grid", 0), ("loss table", 1), ("audit table", 2)])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_tables_rejected(self, env, field, column, bad):
+        # a NaN passes every comparison, so each table is checked up front
+        grid = np.linspace(0, 1, 11)
+        tables = [grid.copy(), grid / 2, np.full_like(grid, 0.5)]
+        tables[column][5] = bad
+        with pytest.raises(DomainError, match=f"^{field} must be finite$"):
+            virtual_loss(*tables, env)
+
     def test_loss_below_minus_tau_rejected(self, env):
         grid = np.linspace(0, 1, 11)
         lam = np.full_like(grid, -0.5)

@@ -450,8 +450,6 @@ class TestSkippingMenuKernel:
         lowest = lowest_by_columns(m.a, m.grid, c)
         for j in (0, 1, MENU_BLOCK + 1, 2 * MENU_BLOCK + 5, len(m) - 1):
             assert same_bits(np.array([deviation_loss(m, float(m.grid[j]))]), lowest[j : j + 1])
-        for cols in (2, 3, MENU_BLOCK + 1, 3 * MENU_BLOCK):
-            assert_exact_kernel(m.a, m.grid[-cols:], c)
 
     def test_skip_rule(self):
         # On the third block line 1 is the probe (term 0 at both ends).  Line

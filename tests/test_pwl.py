@@ -1,9 +1,24 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from samurai import AffineLine, DomainError, PwlFunction, affine_lower_envelope, running_max_floor
+from samurai import (
+    DomainError,
+    PwlFunction,
+    affine_lower_envelope,
+    build_efficient,
+    deviation_loss_table,
+    random_loss_function,
+    running_max_floor,
+    validate_lambda,
+    virtual_loss,
+)
+from samurai.pwl import BREAKPOINT_MERGE_ATOL, _merge_close
+
+from conftest import make_env
 
 
 def pwl(*pairs):
@@ -78,31 +93,109 @@ class TestRunningMaxFloor:
         assert np.all(higher.eval(probe) >= g.eval(probe) - 1e-12)
 
 
+@dataclass(frozen=True)
+class AffineLine:
+    """A line ``slope*x + intercept`` with slope restricted to [0, 1]."""
+
+    slope: float
+    intercept: float
+
+    def __post_init__(self):
+        if not (-1e-9 <= self.slope <= 1 + 1e-9):
+            raise ValueError(f"slope must lie in [0, 1], got {self.slope}")
+        object.__setattr__(self, "slope", float(min(1.0, max(0.0, self.slope))))
+        object.__setattr__(self, "intercept", float(self.intercept))
+
+    def at(self, x):
+        return self.slope * x + self.intercept
+
+
+def reference_envelope(lines, domain) -> PwlFunction:
+    """The envelope as one object per line: key sort, dedupe and pop loop
+    over AffineLine records.  affine_lower_envelope must match it bit for
+    bit on every input."""
+    lines = list(lines)
+    lo, hi = float(domain[0]), float(domain[1])
+    lines.sort(key=lambda L: (-L.slope, L.intercept))
+    pruned = []
+    for L in lines:
+        if pruned and pruned[-1].slope - L.slope <= 1e-14:
+            if L.intercept < pruned[-1].intercept:
+                pruned[-1] = L
+            continue
+        pruned.append(L)
+    hull, starts = [pruned[0]], [-np.inf]
+    for L in pruned[1:]:
+        while hull:
+            xc = (L.intercept - hull[-1].intercept) / (hull[-1].slope - L.slope)
+            if xc <= starts[-1]:
+                hull.pop()
+                starts.pop()
+                continue
+            hull.append(L)
+            starts.append(xc)
+            break
+        if not hull:
+            hull.append(L)
+            starts.append(-np.inf)
+    first = 0
+    while first + 1 < len(hull) and starts[first + 1] <= lo:
+        first += 1
+    last = len(hull) - 1
+    while last > first and starts[last] >= hi:
+        last -= 1
+    out_x = [lo, *starts[first + 1 : last + 1], hi]
+    out_v = [hull[first].at(lo), *(hull[k].at(starts[k]) for k in range(first + 1, last + 1)), hull[last].at(hi)]
+    out_x, out_v = _merge_close(out_x, out_v, BREAKPOINT_MERGE_ATOL * max(1.0, hi - lo))
+    if len(out_x) < 2:
+        out_x, out_v = [lo, hi], [hull[first].at(lo), hull[last].at(hi)]
+    return PwlFunction(np.array(out_x), np.array(out_v))
+
+
+def envelope(lines, domain=(0, 1)):
+    """affine_lower_envelope of a list of (slope, intercept) pairs."""
+    s, b = np.array(lines, dtype=float).reshape(-1, 2).T
+    return affine_lower_envelope(s, b, domain)
+
+
 def grid_min(lines, xs):
-    return np.min([L.slope * xs + L.intercept for L in lines], axis=0)
+    return np.min([s * xs + b for s, b in lines], axis=0)
+
+
+def same_bits(f, g):
+    return f.xs.tobytes() == g.xs.tobytes() and f.vs.tobytes() == g.vs.tobytes()
+
+
+def reference_of_arrays(slopes, intercepts, domain):
+    return reference_envelope((AffineLine(s, b) for s, b in zip(slopes, intercepts)), domain)
+
+
+def assert_matches_reference(slopes, intercepts, domain=(0.0, 1.0)):
+    slopes, intercepts = np.asarray(slopes, dtype=float), np.asarray(intercepts, dtype=float)
+    assert same_bits(affine_lower_envelope(slopes, intercepts, domain), reference_of_arrays(slopes, intercepts, domain))
 
 
 class TestLowerEnvelope:
     def test_single_line(self):
-        e = affine_lower_envelope([AffineLine(1.0, 0.0)], (0, 1))
+        e = envelope([(1.0, 0.0)])
         assert e.eval(0.4) == pytest.approx(0.4)
 
     def test_two_lines_kink(self):
-        e = affine_lower_envelope([AffineLine(1, 0), AffineLine(0, 0.5)], (0, 1))
+        e = envelope([(1, 0), (0, 0.5)])
         assert e.eval(0.25) == pytest.approx(0.25)
         assert e.eval(0.75) == pytest.approx(0.5)
         assert any(abs(x - 0.5) < 1e-12 for x in e.xs)
 
     def test_three_lines_grid_oracle(self):
-        lines = [AffineLine(1, 0), AffineLine(0.5, 0.1), AffineLine(0, 0.6)]
-        e = affine_lower_envelope(lines, (0, 1))
+        lines = [(1, 0), (0.5, 0.1), (0, 0.6)]
+        e = envelope(lines)
         xs = np.linspace(0, 1, 1001)
         assert np.max(np.abs(e.eval(xs) - grid_min(lines, xs))) < 1e-12
         assert any(abs(x - 0.2) < 1e-9 for x in e.xs)
 
     def test_empty_family_rejected(self):
         with pytest.raises(ValueError):
-            affine_lower_envelope([], (0, 1))
+            affine_lower_envelope([], [], (0, 1))
 
     @given(
         data=st.lists(
@@ -111,10 +204,9 @@ class TestLowerEnvelope:
     )
     @settings(max_examples=150, deadline=None)
     def test_random_families_match_grid_minimum(self, data):
-        lines = [AffineLine(s, b) for s, b in data]
-        e = affine_lower_envelope(lines, (0, 1))
+        e = envelope(data)
         xs = np.linspace(0, 1, 10_001)
-        assert np.max(np.abs(e.eval(xs) - grid_min(lines, xs))) < 1e-12
+        assert np.max(np.abs(e.eval(xs) - grid_min(data, xs))) < 1e-12
 
     @given(
         data=st.lists(
@@ -123,25 +215,98 @@ class TestLowerEnvelope:
     )
     @settings(max_examples=100, deadline=None)
     def test_output_concave(self, data):
-        lines = [AffineLine(s, b) for s, b in data]
-        e = affine_lower_envelope(lines, (0, 1))
-        slopes = e.slopes()
+        slopes = envelope(data).slopes()
         assert np.all(np.diff(slopes) <= 1e-12)
 
     def test_pencil_of_lines_through_common_point(self):
         # many lines through (0.5, 0.4); only the extreme slopes survive
-        slopes = np.linspace(0.4, 0.8, 30)
-        lines = [AffineLine(s, 0.4 - 0.5 * s) for s in slopes]
-        e = affine_lower_envelope(lines, (0, 1))
+        lines = [(s, 0.4 - 0.5 * s) for s in np.linspace(0.4, 0.8, 30)]
+        e = envelope(lines)
         xs = np.linspace(0, 1, 2001)
         assert np.max(np.abs(e.eval(xs) - grid_min(lines, xs))) < 1e-12
 
 
-def test_affine_line_slope_validation():
+def test_envelope_rejects_bad_lines():
+    for slope in (1.5, -0.2, np.nan, np.inf):
+        with pytest.raises(ValueError):
+            affine_lower_envelope(np.array([0.5, slope]), np.zeros(2), (0, 1))
+    for intercept in (np.nan, -np.inf):
+        with pytest.raises(ValueError):
+            affine_lower_envelope(np.array([0.5, 0.25]), np.array([0.0, intercept]), (0, 1))
     with pytest.raises(ValueError):
-        AffineLine(1.5, 0.0)
-    with pytest.raises(ValueError):
-        AffineLine(-0.2, 0.0)
+        affine_lower_envelope(np.zeros(2), np.zeros(3), (0, 1))
+
+
+def line_family(kind, rng, n):
+    """(slopes, intercepts) of one family of n lines with slopes in [0, 1]."""
+    if kind == "random":
+        return rng.uniform(0, 1, n), rng.uniform(-1, 1, n)
+    if kind == "equal slopes":
+        return rng.choice([0.0, 0.25, 0.5, 1.0], n), rng.uniform(-1, 1, n)
+    if kind == "slope gaps of 1e-14":
+        s = rng.uniform(0.1, 0.9) + 1e-14 * rng.integers(-3, 4, n)
+        return s, rng.uniform(-1, 1, n)
+    if kind == "pencil":
+        x0, y0 = rng.uniform(0, 1), rng.uniform(-1, 1)
+        s = rng.uniform(0, 1, n)
+        return s, y0 - s * x0
+    if kind == "tangents":  # of y - y^2/2, every line on the envelope
+        y = np.sort(rng.uniform(0, 1, n))
+        return 1.0 - y, y**2 / 2
+    if kind == "identical":
+        return np.full(n, rng.uniform(0, 1)), np.full(n, rng.uniform(-1, 1))
+    raise ValueError(kind)
+
+
+FAMILIES = ["random", "equal slopes", "slope gaps of 1e-14", "pencil", "tangents", "identical"]
+
+
+def virtual_lines(m, env):
+    """The (slope, intercept) family virtual_loss builds for m's deviation loss."""
+    grid, a = m.grid, np.clip(m.a, 0.0, 1.0)
+    plus = running_max_floor(PwlFunction(grid, deviation_loss_table(m)), env.x_lo).eval(grid)
+    return a, np.minimum((1.0 - a) * grid, plus + a * env.tau)
+
+
+class TestEnvelopeMatchesReference:
+    """The array envelope must give the object version's bytes, zero signs
+    included, on every family."""
+
+    @given(kind=st.sampled_from(FAMILIES), seed=st.integers(0, 2**32 - 1), n=st.integers(1, 200))
+    @settings(max_examples=300, deadline=None)
+    def test_families(self, kind, seed, n):
+        s, b = line_family(kind, np.random.default_rng(seed), n)
+        assert_matches_reference(s, b)
+        assert_matches_reference(s, b, (-0.5, 2.0))
+
+    @pytest.mark.parametrize("x_lo,x_hi,tau", [(0.0, 1.0, 0.5), (0.0, 1.0, 0.0), (0.0, 1e6, 5e5)])
+    @pytest.mark.parametrize("grid", [201, 1001])
+    def test_constructed_mechanisms(self, x_lo, x_hi, tau, grid):
+        env = make_env(tau=tau, x_lo=x_lo, x_hi=x_hi)
+        for seed in range(1, 9):
+            m = build_efficient(random_loss_function(env, np.random.default_rng(seed)), env, grid)
+            a, b = virtual_lines(m, env)
+            domain = (env.x_lo, env.x_hi)
+            assert_matches_reference(a, b, domain)
+            star = virtual_loss(m.grid, deviation_loss_table(m), m.a, env)
+            assert same_bits(star.shape, validate_lambda(reference_of_arrays(a, b, domain), env).shape)
+
+    def test_curved_loss(self):
+        env = make_env(tau=0.5)
+        xs = np.linspace(0.0, 1.0, 1000)
+        m = build_efficient(validate_lambda(PwlFunction(xs, xs - xs**2 / 2), env), env, 2001)
+        assert_matches_reference(*virtual_lines(m, env))
+
+    @pytest.mark.parametrize("slopes,intercepts", [
+        ([-0.0, 0.5], [-0.0, 0.1]),
+        ([-0.0], [-0.0]),
+        ([0.0, -0.0], [-0.0, 0.0]),
+        ([-0.0, 0.0, 1.0], [0.0, -0.0, -0.0]),
+        ([1.0, -0.0, 0.25], [-0.0, -0.0, 0.0]),
+    ])
+    def test_signed_zeros(self, slopes, intercepts):
+        assert_matches_reference(slopes, intercepts)
+        assert_matches_reference(slopes, intercepts, (-1.0, 0.0))
 
 
 def test_pwl_json_roundtrip():

@@ -1,5 +1,6 @@
-"""Size sweep of the menu minimum: time and peak memory of construct,
-deviation_loss_table and tighten from 10^3 to 6.4x10^4 grid points.
+"""Size sweep of the construct and tighten stages: time and peak memory of
+construct, deviation_loss_table (the menu minimum), virtual_loss (the
+envelope) and tighten from 10^3 to 6.4x10^4 grid points.
 
     python3 tools/menu_sweep.py --src before=/path/to/old/src --src after=src --out BENCH.json
 
@@ -13,7 +14,8 @@ tracemalloc peak of one more call.
 Inputs: environment [0, 1], tau 0.5, linear audit cost k 0.1.  The random
 loss is random_loss_function with seed 1; the curved loss is y - y^2/2 on
 1000 even breakpoints.  construct is build_efficient at the grid size;
-deviation_loss_table and tighten take its output.
+deviation_loss_table and tighten take its output, and virtual_loss lifts
+its deviation loss as tighten does.
 """
 
 from __future__ import annotations
@@ -46,9 +48,11 @@ def _child(src: str, loss: str, grid: int) -> dict:
         xs = np.linspace(0.0, 1.0, 1000)
         lam = S.validate_lambda(S.PwlFunction(xs, xs - xs**2 / 2), env)
     m = S.build_efficient(lam, env, grid)
+    lam_m = S.deviation_loss_table(m)
     stages = {
         "construct": lambda: S.build_efficient(lam, env, grid),
         "deviation_loss_table": lambda: S.deviation_loss_table(m),
+        "virtual_loss": lambda: S.virtual_loss(m.grid, lam_m, m.a, env),
         "tighten": lambda: S.tighten(m, env),
     }
     point = {"points": len(m)}
