@@ -26,6 +26,7 @@ from .lambda_space import (
     classify_debt,
     debt_loss,
     random_loss_function,
+    running_max_floor,
     validate_lambda,
     virtual_loss,
 )
@@ -44,7 +45,7 @@ from .mechanism import (
     utility,
 )
 from .oracle import DiscreteInstance, bruteforce_deviation_loss, enumerate_feasible_ic, is_undominated
-from .pwl import PwlFunction, affine_lower_envelope, running_max_floor
+from .pwl import PwlFunction, affine_lower_envelope
 from .tighten import TightenReport, is_fixed_point, tighten
 
 __version__ = "0.1.0"

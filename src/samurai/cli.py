@@ -47,6 +47,7 @@ from .errors import (
 from .lambda_space import (
     lambda_violations,
     random_loss_function,
+    running_max_floor,
     validate_lambda,
 )
 from .mechanism import Mechanism, check_feasible, report
@@ -173,7 +174,7 @@ def _cmd_tighten(args) -> int:
     m = _load_mechanism(args.mechanism[0])
     rep = run_tighten(m, env)
     if args.format == "csv":
-        lam_plus = np.maximum.accumulate(np.maximum(rep.lambda_m_in, env.x_lo))
+        lam_plus = running_max_floor(rep.lambda_m_in, env.x_lo)
         star = rep.lambda_star.eval(rep.grid_in)
         idx = np.searchsorted(rep.grid_out, rep.grid_in)
         _emit(

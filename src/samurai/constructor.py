@@ -126,17 +126,13 @@ def merge_grid(primary, extra, env: Environment) -> np.ndarray:
     primary = np.unique(np.asarray(primary, dtype=float))
     extra = np.sort(np.asarray(extra, dtype=float))
     tol = GRID_MERGE_REL * env.span
-    if len(extra):
-        pos = np.searchsorted(primary, extra)
-        left = primary[np.clip(pos - 1, 0, len(primary) - 1)]
-        right = primary[np.clip(pos, 0, len(primary) - 1)]
-        near = (np.abs(extra - left) <= tol) | (np.abs(extra - right) <= tol)
-        extra = extra[~near]
-        # thin surviving extras against each other as well
-        if len(extra):
-            keep = np.concatenate([[True], np.diff(extra) > tol])
-            extra = extra[keep]
-    kept = np.sort(np.concatenate([primary, extra]))
+    pos = np.searchsorted(primary, extra)
+    left = primary[np.clip(pos - 1, 0, len(primary) - 1)]
+    right = primary[np.clip(pos, 0, len(primary) - 1)]
+    near = (np.abs(extra - left) <= tol) | (np.abs(extra - right) <= tol)
+    # surviving extras lie more than tol from every primary point, so the
+    # gap mask below drops only extras close to their extra predecessor
+    kept = np.sort(np.concatenate([primary, extra[~near]]))
     keep_mask = np.concatenate([[True], np.diff(kept) > tol])
     kept = kept[keep_mask]
     if kept[-1] != primary[-1]:  # the upper bound must survive thinning

@@ -15,7 +15,8 @@ import numpy as np
 
 from .environment import Environment
 from .errors import DomainError, LambdaValidationError
-from .pwl import PwlFunction, affine_lower_envelope, running_max_floor
+from .mechanism import _sampled_tables
+from .pwl import PwlFunction, affine_lower_envelope
 
 # Relative slack for the monotonicity / concavity clauses, absolute slack
 # for the anchor clause, and the largest identity overshoot that is clamped
@@ -120,6 +121,19 @@ def validate_lambda(f: PwlFunction, env: Environment, tol: float | None = None) 
     return LossFunction(shape=clamped)
 
 
+def running_max_floor(values, floor) -> np.ndarray:
+    """Entry i is max(floor, values[0], ..., values[i]).
+
+    At the grid points of a sampled loss this is exactly the running maximum
+    of its PWL interpolation, floored.  The argument order fixes zero signs:
+    on a tie numpy's maximum returns its second argument, so with ``values``
+    first every zero entry takes a zero floor's sign, and the ties left for
+    the accumulation are bitwise equal.  Every environment's floor x_lo is
+    >= 0.
+    """
+    return np.maximum.accumulate(np.maximum(values, floor))
+
+
 def virtual_loss(grid, lam_values, a_values, env: Environment) -> LossFunction:
     """Admissible upper bound for a sampled (loss, audit) pair.
 
@@ -130,19 +144,12 @@ def virtual_loss(grid, lam_values, a_values, env: Environment) -> LossFunction:
 
     When the pair satisfies the downward-deviation inequality system the
     result additionally dominates the input table pointwise.  The tables
-    must be aligned and finite (a NaN passes every comparison below), else
-    DomainError.
+    must be aligned and finite, the grid strictly increasing with >= 2
+    points, else DomainError.
     """
-    grid = np.asarray(grid, dtype=float)
-    lam = np.asarray(lam_values, dtype=float)
-    a = np.asarray(a_values, dtype=float)
-    if grid.shape != lam.shape or grid.shape != a.shape:
-        raise DomainError("grid, loss table and audit table must be aligned")
-    for name, arr in (("grid", grid), ("loss table", lam), ("audit table", a)):
-        if not np.isfinite(arr).all():
-            raise DomainError(f"{name} must be finite")
-    if len(grid) < 2 or np.any(np.diff(grid) <= 0):
-        raise DomainError("grid must be strictly increasing with >= 2 points")
+    grid, lam, a = _sampled_tables(grid, lam_values, a_values)
+    if len(grid) < 2:
+        raise DomainError("grid needs at least 2 points")
     span = max(1.0, env.span)
     if abs(grid[0] - env.x_lo) > 1e-9 * span or abs(grid[-1] - env.x_hi) > 1e-9 * span:
         raise DomainError("grid endpoints must match the environment bounds")
@@ -156,11 +163,8 @@ def virtual_loss(grid, lam_values, a_values, env: Environment) -> LossFunction:
         raise DomainError(f"loss value {lam[i]} exceeds x={grid[i]}")
     a = np.clip(a, 0.0, 1.0)
 
-    base = PwlFunction(grid, lam)
-    plus = running_max_floor(base, env.x_lo)
-    plus_values = plus.eval(grid)
-
-    intercepts = np.minimum((1.0 - a) * grid, plus_values + a * env.tau)
+    plus = running_max_floor(lam, env.x_lo)
+    intercepts = np.minimum((1.0 - a) * grid, plus + a * env.tau)
     envelope = affine_lower_envelope(a, intercepts, (env.x_lo, env.x_hi))
     return validate_lambda(envelope, env)
 

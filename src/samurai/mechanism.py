@@ -325,24 +325,32 @@ def _require_feasible_ic(m: Mechanism, env: Environment, rep: MechanismReport | 
     return rep
 
 
+def _sampled_tables(grid, lam_values, a_values):
+    """The (grid, loss table, audit table) triple as float arrays, checked to
+    be aligned and finite (a NaN passes every comparison) with a strictly
+    increasing grid; DomainError otherwise."""
+    grid = np.asarray(grid, dtype=float)
+    lam = np.asarray(lam_values, dtype=float)
+    a = np.asarray(a_values, dtype=float)
+    if grid.shape != lam.shape or grid.shape != a.shape:
+        raise DomainError("grid, loss table and audit table must be aligned")
+    for name, arr in (("grid", grid), ("loss table", lam), ("audit table", a)):
+        if not np.isfinite(arr).all():
+            raise DomainError(f"{name} must be finite")
+    if np.any(np.diff(grid) <= 0):
+        raise DomainError("grid must be strictly increasing")
+    return grid, lam, a
+
+
 def system_holds(grid, lam_values, a_values, env: Environment) -> CheckResult:
     """The downward-deviation inequality system for a sampled (loss, audit) pair.
 
     Checks, for all grid pairs y <= x,
         loss(x) <= a(y)*x + min{(1-a(y))*y, loss(y) + a(y)*tau} + IC_TOL.
-    The tables must be aligned and finite (a NaN would pass every
-    inequality) and the grid strictly increasing, else ValueError.
+    The tables must be aligned and finite and the grid strictly increasing,
+    else DomainError.
     """
-    grid = np.asarray(grid, dtype=float)
-    lam = np.asarray(lam_values, dtype=float)
-    a = np.asarray(a_values, dtype=float)
-    if grid.shape != lam.shape or grid.shape != a.shape:
-        raise ValueError("grid, loss table and audit table must be aligned")
-    for name, arr in (("grid", grid), ("loss table", lam), ("audit table", a)):
-        if not np.isfinite(arr).all():
-            raise ValueError(f"{name} must be finite")
-    if np.any(np.diff(grid) <= 0):
-        raise ValueError("grid must be strictly increasing")
+    grid, lam, a = _sampled_tables(grid, lam_values, a_values)
     phi = np.minimum((1.0 - a) * grid, lam + a * env.tau)
     slack = _menu_min(a, grid, phi) - lam
     bad = np.nonzero(slack < -IC_TOL)[0]

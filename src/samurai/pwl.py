@@ -1,10 +1,10 @@
 """Exact piecewise-linear function algebra.
 
 Everything downstream (loss functions, audit schedules, envelopes) runs on
-the two primitives here: running maxima of a PWL function and the lower
-envelope of a finite affine family.  Both are computed on exact breakpoints,
-never by grid sampling, because the envelope kinks generally fall off any
-preset grid and the chord suprema taken later need them exactly.
+the PWL function here and on the lower envelope of a finite affine family.
+The envelope is computed on exact breakpoints, never by grid sampling,
+because its kinks generally fall off any preset grid and the chord suprema
+taken later need them exactly.
 """
 
 from __future__ import annotations
@@ -112,38 +112,6 @@ def _merge_close(xs: list, vs: list, atol: float):
     return out_x, out_v
 
 
-def running_max_floor(f: PwlFunction, floor: float) -> PwlFunction:
-    """Return x -> max(floor, max_{y <= x} f(y)).
-
-    Output is weakly increasing, >= floor and >= f pointwise; breakpoints are
-    a subset of f's plus the points where f crosses its own running maximum.
-    """
-    xs, vs = f.xs, f.vs
-    m = max(floor, float(vs[0]))
-    out_x = [float(xs[0])]
-    out_v = [m]
-    for i in range(len(xs) - 1):
-        x0, v0 = float(xs[i]), float(vs[i])
-        x1, v1 = float(xs[i + 1]), float(vs[i + 1])
-        if v1 > m:
-            # segment rises above the running max: flat until the crossing,
-            # then follow f (v0 <= m always, since m includes v0)
-            if v0 < m:
-                xc = x0 + (m - v0) / (v1 - v0) * (x1 - x0)
-                if xc > out_x[-1]:
-                    out_x.append(xc)
-                    out_v.append(m)
-            out_x.append(x1)
-            out_v.append(v1)
-            m = v1
-        else:
-            out_x.append(x1)
-            out_v.append(m)
-    atol = BREAKPOINT_MERGE_ATOL * max(1.0, f.span)
-    out_x, out_v = _merge_close(out_x, out_v, atol)
-    return PwlFunction(np.array(out_x), np.array(out_v))
-
-
 def affine_lower_envelope(slopes, intercepts, domain) -> PwlFunction:
     """Pointwise minimum of the lines ``slopes[i]*x + intercepts[i]``,
     restricted to ``domain``.
@@ -221,7 +189,4 @@ def affine_lower_envelope(slopes, intercepts, domain) -> PwlFunction:
 
     atol = BREAKPOINT_MERGE_ATOL * max(1.0, hi - lo)
     out_x, out_v = _merge_close(out_x, out_v, atol)
-    if len(out_x) < 2:  # everything merged into one point; rebuild endpoints
-        out_x = [lo, hi]
-        out_v = [at(first, lo), at(last, hi)]
     return PwlFunction(np.array(out_x), np.array(out_v))

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from samurai import (
     AuditSchedule,
@@ -16,6 +18,8 @@ from samurai import (
     report,
     validate_lambda,
 )
+
+from samurai.constructor import GRID_MERGE_REL, merge_grid
 
 from conftest import make_env
 
@@ -134,3 +138,43 @@ class TestBuildEfficient:
         for y0 in (0.0, 0.3, 1.0):
             m = build_efficient(debt_loss(env, y0), env, 301)
             assert np.all((m.a <= 1e-9) | (m.a >= 1 - 1e-9))
+
+
+def reference_merge_grid(primary, extra, env):
+    """merge_grid that also thins the surviving extras against each other
+    before the final gap mask; merge_grid must give its bytes."""
+    primary = np.unique(np.asarray(primary, dtype=float))
+    extra = np.sort(np.asarray(extra, dtype=float))
+    tol = GRID_MERGE_REL * env.span
+    if len(extra):
+        pos = np.searchsorted(primary, extra)
+        left = primary[np.clip(pos - 1, 0, len(primary) - 1)]
+        right = primary[np.clip(pos, 0, len(primary) - 1)]
+        near = (np.abs(extra - left) <= tol) | (np.abs(extra - right) <= tol)
+        extra = extra[~near]
+        if len(extra):
+            keep = np.concatenate([[True], np.diff(extra) > tol])
+            extra = extra[keep]
+    kept = np.sort(np.concatenate([primary, extra]))
+    kept = kept[np.concatenate([[True], np.diff(kept) > tol])]
+    if kept[-1] != primary[-1]:
+        kept[-1] = primary[-1]
+    return kept
+
+
+@given(seed=st.integers(0, 2**32 - 1), x_hi=st.sampled_from([1.0, 1e6]),
+       n_primary=st.integers(2, 40), n_extra=st.integers(0, 60))
+@settings(max_examples=300, deadline=None)
+def test_merge_grid_matches_reference(seed, x_hi, n_primary, n_extra):
+    # extras clustered within 3 tolerances of primary points and of each
+    # other, near-duplicate primary points, and a few uniform extras
+    rng = np.random.default_rng(seed)
+    env = make_env(x_hi=x_hi)
+    tol = GRID_MERGE_REL * env.span
+    primary = np.concatenate([[0.0, x_hi], rng.uniform(0, x_hi, n_primary)])
+    primary = np.concatenate([primary, rng.choice(primary, 3) + tol * rng.uniform(-1.5, 1.5, 3)])
+    centres = np.concatenate([rng.choice(primary, n_extra), rng.uniform(0, x_hi, n_extra // 4 + 1)])
+    extra = rng.choice(centres, n_extra) + tol * rng.uniform(-3, 3, n_extra)
+    extra = np.concatenate([extra, extra[: n_extra // 3] + tol * rng.uniform(-1.5, 1.5, n_extra // 3)])
+    extra = np.clip(extra, 0.0, x_hi)
+    assert merge_grid(primary, extra, env).tobytes() == reference_merge_grid(primary, extra, env).tobytes()

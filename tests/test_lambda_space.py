@@ -8,6 +8,7 @@ from samurai import (
     classify_debt,
     debt_loss,
     random_loss_function,
+    running_max_floor,
     validate_lambda,
     virtual_loss,
 )
@@ -111,7 +112,7 @@ class TestVirtualLoss:
         lam = debt_loss(env, 0.6).eval(grid)
         a = np.ones_like(grid)
         star = virtual_loss(grid, lam, a, env)
-        plus = np.maximum.accumulate(np.maximum(lam, 0.0))
+        plus = running_max_floor(lam, env.x_lo)
         assert np.all(plus <= star.eval(grid) + 1e-9)
 
     def test_misaligned_grids_rejected(self, env):
@@ -127,6 +128,19 @@ class TestVirtualLoss:
         tables[column][5] = bad
         with pytest.raises(DomainError, match=f"^{field} must be finite$"):
             virtual_loss(*tables, env)
+
+    @pytest.mark.parametrize("check", [virtual_loss, system_holds])
+    @pytest.mark.parametrize("grid,message", [
+        (np.linspace(0, 1, 4), "grid, loss table and audit table must be aligned"),
+        (np.array([0.0, 0.5, 0.25, 1.0, 1.0]), "grid must be strictly increasing"),
+    ])
+    def test_one_table_check_for_both_entry_points(self, env, check, grid, message):
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            check(grid, np.zeros(5), np.ones(5), env)
+
+    def test_one_point_grid_rejected(self, env):
+        with pytest.raises(DomainError, match="^grid needs at least 2 points$"):
+            virtual_loss(np.zeros(1), np.zeros(1), np.ones(1), env)
 
     def test_loss_below_minus_tau_rejected(self, env):
         grid = np.linspace(0, 1, 11)

@@ -18,7 +18,7 @@ from samurai import (
 )
 from samurai.pwl import BREAKPOINT_MERGE_ATOL, _merge_close
 
-from conftest import make_env
+from conftest import make_env, random_mechanism
 
 
 def pwl(*pairs):
@@ -50,47 +50,103 @@ class TestEval:
             pwl((0, 0), (0, 1))
 
 
+def reference_running_max_floor(f: PwlFunction, floor: float) -> PwlFunction:
+    """The floored running maximum as a PWL function: a loop over f's
+    breakpoints that inserts a kink where f rises through its running max.
+    Read at f's own breakpoints it must give running_max_floor's bytes."""
+    xs, vs = f.xs, f.vs
+    m = max(floor, float(vs[0]))
+    out_x, out_v = [float(xs[0])], [m]
+    for i in range(len(xs) - 1):
+        x0, v0 = float(xs[i]), float(vs[i])
+        x1, v1 = float(xs[i + 1]), float(vs[i + 1])
+        if v1 > m:
+            if v0 < m:
+                xc = x0 + (m - v0) / (v1 - v0) * (x1 - x0)
+                if xc > out_x[-1]:
+                    out_x.append(xc)
+                    out_v.append(m)
+            out_x.append(x1)
+            out_v.append(v1)
+            m = v1
+        else:
+            out_x.append(x1)
+            out_v.append(m)
+    out_x, out_v = _merge_close(out_x, out_v, BREAKPOINT_MERGE_ATOL * max(1.0, f.span))
+    return PwlFunction(np.array(out_x), np.array(out_v))
+
+
+def adversarial_table(rng, n):
+    """A loss table on a dyadic grid of n points with signed zeros, flat
+    runs, equal maxima and values below the floor.
+
+    Values are multiples of 1/64 or grid points, so a rise through the
+    running max is never within the breakpoint merge distance of the next
+    grid point."""
+    grid = np.linspace(0.0, 1.0, n)
+    vals = rng.integers(-16, 64, n) / 64.0
+    for i in np.nonzero(rng.uniform(size=n) < 0.3)[0]:
+        if i > 0:
+            vals[i] = vals[i - 1]
+    vals = np.where(vals == 0.0, rng.choice([0.0, -0.0], n), vals)
+    return grid, np.minimum(vals, grid)
+
+
 class TestRunningMaxFloor:
     def test_already_increasing(self):
-        f = pwl((0, 0), (1, 1))
-        g = running_max_floor(f, 0.0)
         xs = np.linspace(0, 1, 50)
-        assert np.allclose(g.eval(xs), xs)
+        assert np.array_equal(running_max_floor(xs, 0.0), xs)
 
     def test_flattens_decreasing_tail(self):
-        g = running_max_floor(pwl((0, 0), (0.5, 0.4), (1, 0.2)), 0.0)
-        assert g.eval(1.0) == pytest.approx(0.4)
-        assert g.eval(0.75) == pytest.approx(0.4)
-        assert g.eval(0.25) == pytest.approx(0.2)
+        g = running_max_floor(np.array([0.0, 0.2, 0.4, 0.3, 0.2]), 0.0)
+        assert g.tolist() == [0.0, 0.2, 0.4, 0.4, 0.4]
 
     def test_floor_binds_everywhere(self):
-        g = running_max_floor(pwl((0, -0.3), (1, -0.3)), 0.0)
-        assert np.allclose(g.eval(np.linspace(0, 1, 20)), 0.0)
+        assert running_max_floor(np.full(20, -0.3), 0.0).tolist() == [0.0] * 20
 
     def test_crossing_breakpoint_inserted(self):
-        # dips below an earlier peak, then rises through it
-        g = running_max_floor(pwl((0, 0.5), (0.4, 0.1), (1, 0.7)), 0.0)
-        xs = np.linspace(0, 1, 1001)
-        brute = np.maximum.accumulate(pwl((0, 0.5), (0.4, 0.1), (1, 0.7)).eval(xs))
-        assert np.max(np.abs(g.eval(xs) - brute)) < 1e-9
+        # dips below an earlier peak, then rises through it: the PWL running
+        # max gains a kink between grid points, but reads the table's at them
+        f = pwl((0, 0.5), (0.4, 0.1), (1, 0.7))
+        assert len(reference_running_max_floor(f, 0.0).xs) == 4
+        assert running_max_floor(f.vs, 0.0).tolist() == [0.5, 0.5, 0.7]
+        grid = np.linspace(0, 1, 1001)
+        vals = f.eval(grid)
+        same = running_max_floor(vals, 0.0) == reference_running_max_floor(PwlFunction(grid, vals), 0.0).eval(grid)
+        assert same.all()
 
     @given(
-        vals=st.lists(st.floats(-1, 1), min_size=2, max_size=10),
+        vals=st.lists(st.floats(-1, 1), min_size=1, max_size=10),
         floor=st.floats(-1, 1),
     )
     @settings(max_examples=100, deadline=None)
     def test_idempotent_and_monotone(self, vals, floor):
-        xs = np.linspace(0, 1, len(vals))
-        f = PwlFunction(xs, np.array(vals))
-        g = running_max_floor(f, floor)
-        gg = running_max_floor(g, floor)
-        probe = np.linspace(0, 1, 257)
-        assert np.max(np.abs(gg.eval(probe) - g.eval(probe))) < 1e-12
-        assert np.all(np.diff(g.eval(probe)) >= -1e-12)
-        assert np.all(g.eval(probe) >= floor - 1e-12)
-        assert np.all(g.eval(probe) >= f.eval(probe) - 1e-12)
-        higher = running_max_floor(f, floor + 0.5)
-        assert np.all(higher.eval(probe) >= g.eval(probe) - 1e-12)
+        vals = np.array(vals)
+        g = running_max_floor(vals, floor)
+        assert np.array_equal(running_max_floor(g, floor), g)
+        assert np.all(np.diff(g) >= 0)
+        assert np.all(g >= floor)
+        assert np.all(g >= vals)
+        assert np.all(running_max_floor(vals, floor + 0.5) >= g)
+
+    @given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 8),
+           floor=st.sampled_from([0.0, -0.0, 0.25, 0.5]))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_reference_at_the_grid(self, seed, k, floor):
+        grid, lam = adversarial_table(np.random.default_rng(seed), 2**k + 1)
+        ref = reference_running_max_floor(PwlFunction(grid, lam), floor).eval(grid)
+        assert running_max_floor(lam, floor).tobytes() == ref.tobytes()
+
+    def test_plateau_then_one_ulp_above(self):
+        # the rise through 0.3 crosses it within the merge distance left of
+        # the last grid point; the PWL max then merges that point away and
+        # reads 0.3 there, one ulp below the table
+        grid = np.linspace(0, 1, 40)
+        lam = np.minimum(grid, 0.3)
+        lam[-2:] = 0.2, np.nextafter(0.3, 1.0)
+        assert np.all(running_max_floor(lam, 0.0) >= lam)
+        assert running_max_floor(lam, 0.0)[-1] == lam[-1]
+        assert reference_running_max_floor(PwlFunction(grid, lam), 0.0).eval(1.0) < lam[-1]
 
 
 @dataclass(frozen=True)
@@ -264,7 +320,7 @@ FAMILIES = ["random", "equal slopes", "slope gaps of 1e-14", "pencil", "tangents
 def virtual_lines(m, env):
     """The (slope, intercept) family virtual_loss builds for m's deviation loss."""
     grid, a = m.grid, np.clip(m.a, 0.0, 1.0)
-    plus = running_max_floor(PwlFunction(grid, deviation_loss_table(m)), env.x_lo).eval(grid)
+    plus = running_max_floor(deviation_loss_table(m), env.x_lo)
     return a, np.minimum((1.0 - a) * grid, plus + a * env.tau)
 
 
@@ -307,6 +363,61 @@ class TestEnvelopeMatchesReference:
     def test_signed_zeros(self, slopes, intercepts):
         assert_matches_reference(slopes, intercepts)
         assert_matches_reference(slopes, intercepts, (-1.0, 0.0))
+
+
+def reference_virtual_loss(grid, lam, a, env):
+    """virtual_loss through the PWL running max read back at the grid."""
+    a = np.clip(a, 0.0, 1.0)
+    plus = reference_running_max_floor(PwlFunction(grid, lam), env.x_lo).eval(grid)
+    intercepts = np.minimum((1.0 - a) * grid, plus + a * env.tau)
+    return validate_lambda(affine_lower_envelope(a, intercepts, (env.x_lo, env.x_hi)), env)
+
+
+def assert_virtual_loss_matches_reference(grid, lam, a, env):
+    assert same_bits(virtual_loss(grid, lam, a, env).shape, reference_virtual_loss(grid, lam, a, env).shape)
+
+
+ENVS = [(0.0, 1.0, 0.5), (0.0, 1.0, 0.0), (0.0, 1e6, 5e5)]
+
+
+class TestVirtualLossMatchesReference:
+    """virtual_loss on the table's running max must give the bytes of the
+    PWL running max read at the grid, on tables with and without drops."""
+
+    @pytest.mark.parametrize("x_lo,x_hi,tau", ENVS)
+    def test_constructed_mechanisms(self, x_lo, x_hi, tau):
+        env = make_env(tau=tau, x_lo=x_lo, x_hi=x_hi)
+        for seed, grid in [(1, 201), (2, 201), (3, 1001), (4, 4001)]:
+            m = build_efficient(random_loss_function(env, np.random.default_rng(seed)), env, grid)
+            assert_virtual_loss_matches_reference(m.grid, deviation_loss_table(m), m.a, env)
+
+    @pytest.mark.parametrize("x_lo,x_hi,tau", ENVS)
+    def test_random_ic_mechanisms(self, x_lo, x_hi, tau):
+        # their deviation losses drop where a new menu line undercuts
+        env = make_env(tau=tau, x_lo=x_lo, x_hi=x_hi)
+        rng = np.random.default_rng(int(tau) + 5)
+        drops = 0
+        for n in (201, 201, 401, 2001):
+            m = random_mechanism(env, rng, n)
+            lam = deviation_loss_table(m)
+            drops += np.count_nonzero(np.diff(lam) < 0)
+            assert_virtual_loss_matches_reference(m.grid, lam, m.a, env)
+        assert drops
+
+    def test_curved_loss(self):
+        env = make_env(tau=0.5)
+        xs = np.linspace(0.0, 1.0, 1000)
+        m = build_efficient(validate_lambda(PwlFunction(xs, xs - xs**2 / 2), env), env, 16001)
+        assert_virtual_loss_matches_reference(m.grid, deviation_loss_table(m), m.a, env)
+
+    @given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 8), tau=st.sampled_from([0.0, 0.5]))
+    @settings(max_examples=200, deadline=None)
+    def test_adversarial_tables(self, seed, k, tau):
+        rng = np.random.default_rng(seed)
+        grid, lam = adversarial_table(rng, 2**k + 1)
+        lam = np.maximum(lam, -tau)
+        a = np.where(rng.uniform(size=len(grid)) < 0.5, rng.choice([0.0, 1.0], len(grid)), rng.uniform(0, 1, len(grid)))
+        assert_virtual_loss_matches_reference(grid, lam, a, make_env(tau=tau))
 
 
 def test_pwl_json_roundtrip():

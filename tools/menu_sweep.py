@@ -8,8 +8,11 @@ Each --src names a samurai source tree (the directory holding the samurai
 package) under a label.  Every (tree, loss, grid) point runs in its own
 child process whose address space is capped with RLIMIT_AS, so an n^2
 allocation is recorded as a MemoryError at that size instead of exhausting
-the machine.  A stage's time is the best of three calls; its peak is the
-tracemalloc peak of one more call.
+the machine.  The trees run back to back at each (loss, grid) point, and
+the tree that goes first alternates from point to point, so load that
+drifts over the sweep reaches every tree alike.  A stage's time is the best
+and the median of seven calls; its peak is the tracemalloc peak of one more
+call.
 
 Inputs: environment [0, 1], tau 0.5, linear audit cost k 0.1.  The random
 loss is random_loss_function with seed 1; the curved loss is y - y^2/2 on
@@ -25,6 +28,7 @@ import json
 import os
 import platform
 import resource
+import statistics
 import subprocess
 import sys
 import time
@@ -32,7 +36,7 @@ import tracemalloc
 
 SIZES = (1_001, 4_001, 16_001, 64_001)
 LOSSES = ("random", "curved")
-REPEATS = 3
+REPEATS = 7
 ADDRESS_SPACE = 4 * 2**30  # bytes per child
 
 
@@ -68,7 +72,11 @@ def _child(src: str, loss: str, grid: int) -> dict:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        point[name] = {"best_s": round(min(times), 4), "peak_mib": round(peak / 2**20, 2)}
+        point[name] = {
+            "best_s": round(min(times), 4),
+            "median_s": round(statistics.median(times), 4),
+            "peak_mib": round(peak / 2**20, 2),
+        }
     return point
 
 
@@ -106,14 +114,15 @@ def main(argv=None) -> int:
         "repeats": REPEATS,
         "sweeps": {},
     }
-    for spec in args.src:
-        label, src = spec.split("=", 1)
-        sweep = result["sweeps"][label] = {}
-        for loss in LOSSES:
-            for grid in SIZES:
-                point = _run_point(os.path.abspath(src), loss, grid)
-                sweep[f"{loss}/{grid}"] = point
-                print(label, loss, grid, json.dumps(point), file=sys.stderr, flush=True)
+    trees = [spec.split("=", 1) for spec in args.src]
+    for label, _ in trees:
+        result["sweeps"][label] = {}
+    points = [(loss, grid) for loss in LOSSES for grid in SIZES]
+    for k, (loss, grid) in enumerate(points):
+        for label, src in trees if k % 2 == 0 else trees[::-1]:
+            point = _run_point(os.path.abspath(src), loss, grid)
+            result["sweeps"][label][f"{loss}/{grid}"] = point
+            print(label, loss, grid, json.dumps(point), file=sys.stderr, flush=True)
     with open(args.out, "w") as fh:
         json.dump(result, fh, indent=2, sort_keys=True)
         fh.write("\n")
