@@ -225,14 +225,13 @@ class AuditSchedule:
         d = self.alpha_table(grid) - self.beta_table(grid)
         eps = 1e-12
         witness = None
-        seen_negative_at = None
-        for y, val in zip(grid, d):
-            if val < -eps and seen_negative_at is None:
-                seen_negative_at = float(y)
-            elif val > eps and seen_negative_at is not None:
-                witness = (seen_negative_at, float(y))
-                break
-        anchored = d[0] >= -1e-12
+        below = np.flatnonzero(d < -eps)
+        if len(below):
+            # the first value above eps after the first value below -eps
+            above = below[0] + 1 + np.flatnonzero(d[below[0] + 1 :] > eps)
+            if len(above):
+                witness = (float(grid[below[0]]), float(grid[above[0]]))
+        anchored = d[0] >= -eps
         return SingleCrossingReport(
             passed=witness is None and anchored,
             anchored=bool(anchored),

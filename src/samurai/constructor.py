@@ -18,10 +18,10 @@ from .errors import PreconditionError
 from .lambda_space import LossFunction
 from .mechanism import Mechanism, system_holds
 
-# Grid points closer than this fraction of the surplus span are merged.
-# Coarser than the envelope merge tolerance on purpose: certification
-# recomputes chord ratios on the grid, and those need well-separated
-# abscissae to stay accurate at the 1e-8 level.
+# Grid points closer than this fraction of the surplus span are merged, and
+# support types this close to a kink snap to it: certification recomputes
+# chord ratios on the grid, and those need well-separated abscissae to stay
+# accurate at the 1e-8 level.
 GRID_MERGE_REL = 1e-7
 
 

@@ -4,7 +4,9 @@ Everything downstream (loss functions, audit schedules, envelopes) runs on
 the PWL function here and on the lower envelope of a finite affine family.
 The envelope is computed on exact breakpoints, never by grid sampling,
 because its kinks generally fall off any preset grid and the chord suprema
-taken later need them exactly.
+taken later need them exactly.  Its one tolerance is the rounding bound of
+one line's value, 8 * eps * (max|x| * max|slope| + max|intercept|): no line
+lying deeper than that below the others is dropped.
 """
 
 from __future__ import annotations
@@ -14,9 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-
-# Breakpoints closer than this (scaled by the domain width) collapse to one.
-BREAKPOINT_MERGE_ATOL = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -92,36 +91,28 @@ class PwlFunction:
         return self.eval(x)
 
 
-def _merge_close(xs: list, vs: list, atol: float):
-    """Drop breakpoints whose x is within ``atol`` of the previous kept one."""
-    out_x = [xs[0]]
-    out_v = [vs[0]]
-    for x, v in zip(xs[1:], vs[1:]):
-        if x - out_x[-1] <= atol:
-            continue
-        out_x.append(x)
-        out_v.append(v)
-    # the right endpoint must survive; replace the last kept point if needed
-    if out_x[-1] != xs[-1]:
-        if xs[-1] - out_x[-1] <= atol and len(out_x) > 1:
-            out_x[-1] = xs[-1]
-            out_v[-1] = vs[-1]
-        else:
-            out_x.append(xs[-1])
-            out_v.append(vs[-1])
-    return out_x, out_v
-
-
 def affine_lower_envelope(slopes, intercepts, domain) -> PwlFunction:
     """Pointwise minimum of the lines ``slopes[i]*x + intercepts[i]``,
     restricted to ``domain``.
 
     The scan is the dual of a convex hull: sort by slope descending (the
-    active order left to right for a minimum), drop duplicate slopes keeping
-    the lower intercept, then eliminate lines whose active interval is empty
-    by pairwise intersections.  The result is concave and weakly increasing
-    because every slope lies in [0, 1]; a slope outside it or a non-finite
-    line is a ValueError.
+    active order left to right for a minimum), merge nearly parallel lines,
+    pop hull lines too shallow to resolve, and clip to the domain.  Every
+    slope lies in [0, 1], so the result is concave and weakly increasing; a
+    slope outside it or a non-finite line is a ValueError.
+
+    A line is dropped only when it lies nowhere on the domain more than
+    depth_tol = 8 * eps * (max(|lo|, |hi|) * max|s| + max|b|), the rounding
+    bound of one line's value, below the lines it is dropped for:
+    - a line whose slope is within depth_tol / max(|lo|, |hi|) of its
+      group's steepest merges into the group's lowest intercept;
+    - hull line j, between line k below it and the new line i, is popped
+      when (x_ji - x_kj) * (s_k - s_j) * (s_j - s_i) / (s_k - s_i), its
+      depth below min(k, i), is at most depth_tol (at 0: x_ji <= x_kj);
+    - an end line goes when its width inside the domain times its slope
+      gap to its neighbour is at most depth_tol.
+    Rounding a crossing moves a depth by a few eps * max|b|, so the kinks
+    that rounding alone makes, where nearly parallel lines cross, are popped.
     """
     s = np.asarray(slopes, dtype=float) + 0.0  # a -0.0 slope counts as +0.0
     b = np.asarray(intercepts, dtype=float)
@@ -136,44 +127,44 @@ def affine_lower_envelope(slopes, intercepts, domain) -> PwlFunction:
     lo, hi = float(domain[0]), float(domain[1])
     if not lo < hi:
         raise ValueError(f"empty domain [{lo}, {hi}]")
+    reach = max(abs(lo), abs(hi))
+    depth_tol = 8 * np.finfo(float).eps * (reach * float(s.max()) + float(np.abs(b).max()))
 
     order = np.lexsort((b, -s))
-    slope_tol = 1e-14
     pruned: list[tuple[float, float]] = []  # (slope, intercept)
     for line in zip(s[order].tolist(), b[order].tolist()):
-        if pruned and pruned[-1][0] - line[0] <= slope_tol:
-            # effectively parallel: only the lower intercept can win, and the
-            # slope gap moves the minimum by at most slope_tol * domain width
+        # within depth_tol of the group's steepest slope: only the lower
+        # intercept can win by more than depth_tol on the domain
+        if pruned and (steepest - line[0]) * reach <= depth_tol:
             if line[1] < pruned[-1][1]:
                 pruned[-1] = line
             continue
+        steepest = line[0]
         pruned.append(line)
 
     hull = [pruned[0]]
     starts = [-np.inf]  # where each hull line becomes active
-    for line in pruned[1:]:
-        s1, b1 = line
-        while hull:
-            # x where the steeper hull line drops below the flatter new one
-            s0, b0 = hull[-1]
-            xc = (b1 - b0) / (s0 - s1)
-            if xc <= starts[-1]:
-                hull.pop()
-                starts.pop()
-                continue
-            hull.append(line)
-            starts.append(xc)
-            break
-        if not hull:
-            hull.append(line)
-            starts.append(-np.inf)
+    for s_i, b_i in pruned[1:]:
+        while True:
+            # x where the steeper top line j drops below the flatter new one
+            s_j, b_j = hull[-1]
+            x_ji = (b_i - b_j) / (s_j - s_i)
+            if len(hull) == 1:
+                break
+            s_k = hull[-2][0]
+            if (x_ji - starts[-1]) * (s_k - s_j) * (s_j - s_i) / (s_k - s_i) > depth_tol:
+                break
+            hull.pop()
+            starts.pop()
+        hull.append((s_i, b_i))
+        starts.append(x_ji)
 
     # clip the active intervals to [lo, hi]
     first = 0
-    while first + 1 < len(hull) and starts[first + 1] <= lo:
+    while first + 1 < len(hull) and (starts[first + 1] - lo) * (hull[first][0] - hull[first + 1][0]) <= depth_tol:
         first += 1
     last = len(hull) - 1
-    while last > first and starts[last] >= hi:
+    while last > first and (hi - starts[last]) * (hull[last - 1][0] - hull[last][0]) <= depth_tol:
         last -= 1
 
     def at(k, x):
@@ -186,7 +177,4 @@ def affine_lower_envelope(slopes, intercepts, domain) -> PwlFunction:
         out_v.append(at(k, starts[k]))
     out_x.append(hi)
     out_v.append(at(last, hi))
-
-    atol = BREAKPOINT_MERGE_ATOL * max(1.0, hi - lo)
-    out_x, out_v = _merge_close(out_x, out_v, atol)
     return PwlFunction(np.array(out_x), np.array(out_v))

@@ -2,6 +2,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from samurai import (
     AuditSchedule,
@@ -181,6 +183,37 @@ class TestSingleCrossing:
                 lam = random_loss_function(env, rng)
                 rep = AuditSchedule.from_loss(lam, env).check_single_crossing(301)
                 assert rep.passed and rep.anchored
+
+
+    @given(diff=st.lists(
+        st.sampled_from([-1.0, -2e-12, -1e-12, -0.0, 0.0, 1e-12, 2e-12, 1.0, np.nan]), min_size=2, max_size=40
+    ))
+    @settings(max_examples=300, deadline=None)
+    def test_witness_matches_the_scan(self, diff):
+        diff = np.array(diff)
+
+        class GivenDiff(AuditSchedule):
+            def alpha_table(self, ys):
+                return diff
+
+            def beta_table(self, ys):
+                return np.zeros_like(diff)
+
+        env = make_env()
+        lam = validate_lambda(PwlFunction.from_pairs([(0, 0), (1, 1)]), env)
+        rep = GivenDiff.from_loss(lam, env).check_single_crossing(len(diff))
+        # the per-point scan: the first value below -1e-12, then the first
+        # value above 1e-12 after it
+        witness, negative_at = None, None
+        for y, val in zip(rep.grid.tolist(), diff.tolist()):
+            if val < -1e-12 and negative_at is None:
+                negative_at = y
+            elif val > 1e-12 and negative_at is not None:
+                witness = (negative_at, y)
+                break
+        assert rep.witness == witness
+        assert rep.anchored == (diff[0] >= -1e-12)
+        assert rep.passed == (witness is None and rep.anchored)
 
 
 class TestMonotoneAndBounded:

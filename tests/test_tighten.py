@@ -123,6 +123,18 @@ def test_constructor_outputs_tighten_at_every_scale(scale):
         assert is_fixed_point(m, env)
 
 
+@pytest.mark.parametrize("loss,breakpoints", [("curved", 1000), ("capped_sqrt", 3000)])
+def test_curved_losses_on_fine_grids_are_fixed_points(loss, breakpoints):
+    # at 64,001 points neighbouring menu lines differ in slope by O(1/n), so
+    # their crossings lose most of their digits; kinks made of that rounding
+    # alone once broke the refund system inside tighten
+    env = make_env(tau=0.5)
+    xs = np.linspace(0.0, 1.0, breakpoints)
+    vs = xs - xs**2 / 2 if loss == "curved" else np.minimum(xs, 0.6 * np.sqrt(xs))
+    m = build_efficient(validate_lambda(PwlFunction(xs, vs), env), env, 64001)
+    assert is_fixed_point(m, env)
+
+
 class TestGuarantees:
     @pytest.mark.parametrize("tau", [0.0, 0.5, 1.0])
     def test_chains_on_random_mechanisms(self, tau):
