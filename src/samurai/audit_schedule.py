@@ -28,26 +28,13 @@ from .environment import Environment
 from .errors import DomainError
 from .lambda_space import LossFunction
 from .pwl import PwlFunction
-
-# |loss(y) - y| below this (scaled) counts as "on the identity", which adds
-# the right-hand slope at y as a supremum candidate.
-IDENTITY_EQ_TOL = 1e-12
-
-# Resolution of the crossover search.
-CROSSOVER_XTOL = 1e-10
-
-# Breakpoints within this (scaled) distance of a query are float-noise
-# duplicates of the query itself: they are excluded as chord candidates and
-# the right-hand slope is read past them.  Without the snap, an envelope
-# kink landing one ulp to the right of a grid point would masquerade as a
-# one-ulp identity stretch and flip the supremum across its discontinuity.
-QUERY_SNAP_TOL = 1e-9
+from .tolerances import CROSSOVER_XTOL, NOISE, POINT, check_within, scale
 
 
 @dataclass(frozen=True)
 class SingleCrossingReport:
     passed: bool
-    anchored: bool          # alpha >= beta at x_lo (within 1e-12)
+    anchored: bool          # alpha >= beta at x_lo (within NOISE)
     grid: np.ndarray = field(repr=False, default=None)
     diff: np.ndarray = field(repr=False, default=None)
     witness: tuple | None = None  # (y_neg, y_pos) violating the sign pattern
@@ -108,16 +95,10 @@ class AuditSchedule:
             jumps.append(jumps[-1][jumps[-1]])
         return np.stack(jumps)
 
-    def _check_y(self, ys: np.ndarray):
-        slack = 1e-9 * max(1.0, self.env.span)
-        if np.any(ys < self.env.x_lo - slack) or np.any(ys > self.env.x_hi + slack):
-            bad = ys[(ys < self.env.x_lo - slack) | (ys > self.env.x_hi + slack)]
-            raise DomainError(f"y={bad.flat[0]} outside [{self.env.x_lo}, {self.env.x_hi}]")
-
     def _right_slopes(self, ys: np.ndarray) -> np.ndarray:
         """Slope of the segment to the right of each y (last segment at x_hi)."""
         xs = self.pwl.xs
-        snap = QUERY_SNAP_TOL * max(1.0, self.env.span)
+        snap = POINT * scale(self.env.span)  # as in _sup_ratio
         seg = np.clip(np.searchsorted(xs, ys + snap, side="right") - 1, 0, len(xs) - 2)
         return self._slopes[seg]
 
@@ -126,8 +107,9 @@ class AuditSchedule:
         a breakpoint right of y; -inf where there is none."""
         xs, vs = self.pwl.xs, self.pwl.vs
         n = len(xs)
-        snap = QUERY_SNAP_TOL * max(1.0, self.env.span)
-        start = np.searchsorted(xs, ys + snap, side="right")
+        # breakpoints this close right of y are float-noise copies of y, no
+        # candidates: else a kink one ulp right would pose as an identity stretch
+        start = np.searchsorted(xs, ys + POINT * scale(self.env.span), side="right")
         px, py = (ys, ys) if kind == "alpha" else (-self.env.tau, self.pwl.eval(ys))
         jumps = self._hull
 
@@ -153,11 +135,10 @@ class AuditSchedule:
         """Smallest audit probability deterring deviation to each y when the
         no-audit refund is withheld: max over chords from (y, y) into the graph."""
         ys = np.atleast_1d(np.asarray(ys, dtype=float))
-        self._check_y(ys)
-        span = max(1.0, self.env.span)
+        check_within(ys, self.env.x_lo, self.env.x_hi, self.env.span, "y")
         best = self._sup_ratio(ys, "alpha")
         ly = self.pwl.eval(ys)
-        on_id = np.abs(ly - ys) <= IDENTITY_EQ_TOL * span
+        on_id = np.abs(ly - ys) <= NOISE * scale(self.env.span)
         if np.any(on_id):
             best = np.where(on_id, np.maximum(best, self._right_slopes(ys)), best)
         out = np.clip(np.maximum(best, 0.0), 0.0, 1.0)
@@ -167,7 +148,7 @@ class AuditSchedule:
         """Smallest audit probability deterring deviation to each y when the
         audit refund is maxed out: steepest loss gain per unit audited wealth."""
         ys = np.atleast_1d(np.asarray(ys, dtype=float))
-        self._check_y(ys)
+        check_within(ys, self.env.x_lo, self.env.x_hi, self.env.span, "y")
         best = self._sup_ratio(ys, "beta")
         out = np.clip(np.maximum(best, 0.0), 0.0, 1.0)  # the x = y term is 0
         return np.where(ys >= self.env.x_hi, 0.0, out)
@@ -200,7 +181,7 @@ class AuditSchedule:
         by rescanning the bracket at the scan grid's length; x_lo when the
         strict set is empty, x_hi when it reaches the top.
         """
-        xtol = CROSSOVER_XTOL * max(1.0, self.env.x_hi)  # above the float spacing
+        xtol = CROSSOVER_XTOL * scale(self.env.x_hi)  # above the float spacing
         lo, hi = self.env.x_lo, self.env.x_hi
         grid = self._scan_grid()
         while True:
@@ -223,15 +204,14 @@ class AuditSchedule:
             raise DomainError("grid_size must be >= 2")
         grid = np.linspace(self.env.x_lo, self.env.x_hi, int(grid_size))
         d = self.alpha_table(grid) - self.beta_table(grid)
-        eps = 1e-12
         witness = None
-        below = np.flatnonzero(d < -eps)
+        below = np.flatnonzero(d < -NOISE)
         if len(below):
             # the first value above eps after the first value below -eps
-            above = below[0] + 1 + np.flatnonzero(d[below[0] + 1 :] > eps)
+            above = below[0] + 1 + np.flatnonzero(d[below[0] + 1 :] > NOISE)
             if len(above):
                 witness = (float(grid[below[0]]), float(grid[above[0]]))
-        anchored = d[0] >= -eps
+        anchored = d[0] >= -NOISE
         return SingleCrossingReport(
             passed=witness is None and anchored,
             anchored=bool(anchored),

@@ -4,7 +4,8 @@ A mechanism certifies as efficient when its deviation loss is an admissible
 loss function, revenue matches it everywhere, and the audit schedule equals
 the minimal one recomputed from the loss.  These clauses are necessary for
 tightness too, but tightness has no proven converse, so the tightness
-certificate never claims more than the necessary conditions.
+certificate never claims more than the necessary conditions.  A ``tol``
+bounds money at tol * max(1, span) and audit probabilities at tol.
 """
 
 from __future__ import annotations
@@ -26,9 +27,7 @@ from .mechanism import (
     revenue_table,
 )
 from .pwl import PwlFunction
-
-CERT_TOL = 1e-8
-COMPARE_TOL = 1e-9
+from .tolerances import CERT, GATE, NOISE, scale
 
 CERTIFIED_EFFICIENT = "certified-efficient"
 TIGHT_NECESSARY = "satisfies-tightness-necessary-conditions"
@@ -74,8 +73,9 @@ class Certificate:
 def _core_clauses(m: Mechanism, env: Environment, rep: MechanismReport, tol: float):
     lam_m = rep.deviation_loss
     interp = PwlFunction(m.grid.copy(), lam_m.copy())
+    money = tol * scale(env.span)
 
-    violations = lambda_violations(interp, env, tol=tol)
+    violations = lambda_violations(interp, env, tol=money)
     clause_shape = Clause(
         "loss-admissible",
         not violations,
@@ -86,9 +86,9 @@ def _core_clauses(m: Mechanism, env: Environment, rep: MechanismReport, tol: flo
     j = int(np.argmax(gap))
     clause_rev = Clause(
         "revenue-equals-loss",
-        bool(gap[j] <= tol),
+        bool(gap[j] <= money),
         None
-        if gap[j] <= tol
+        if gap[j] <= money
         else {"x": float(m.grid[j]), "revenue": float(rep.revenue[j]), "deviation_loss": float(lam_m[j])},
     )
 
@@ -109,7 +109,7 @@ def _core_clauses(m: Mechanism, env: Environment, rep: MechanismReport, tol: flo
 
 
 def certify_efficient(
-    m: Mechanism, env: Environment, rep: MechanismReport | None = None, tol: float = CERT_TOL
+    m: Mechanism, env: Environment, rep: MechanismReport | None = None, tol: float = CERT
 ) -> Certificate:
     """Certificate of efficiency for a feasible IC mechanism.
 
@@ -120,7 +120,7 @@ def certify_efficient(
 
 
 def certify_tight_necessary(
-    m: Mechanism, env: Environment, rep: MechanismReport | None = None, tol: float = CERT_TOL
+    m: Mechanism, env: Environment, rep: MechanismReport | None = None, tol: float = CERT
 ) -> Certificate:
     """Necessary conditions for tightness, plus informational refund-pattern
     clauses around the crossover type.
@@ -132,7 +132,7 @@ def certify_tight_necessary(
     return _tight_necessary(m, env, _core_clauses(m, env, _require_feasible_ic(m, env, rep), tol), tol)
 
 
-def certify_both(m: Mechanism, env: Environment, tol: float = CERT_TOL) -> tuple[Certificate, Certificate]:
+def certify_both(m: Mechanism, env: Environment, tol: float = CERT) -> tuple[Certificate, Certificate]:
     """``certify_efficient`` and ``certify_tight_necessary`` of ``m`` from one
     evaluation of the core clauses they share."""
     core = _core_clauses(m, env, _require_feasible_ic(m, env), tol)
@@ -147,8 +147,8 @@ def _efficient(core) -> Certificate:
 
 def _tight_necessary(m: Mechanism, env: Environment, core, tol: float) -> Certificate:
     clauses, alpha, beta = core
-    margin = 1e-9
-    bad_empty = np.nonzero((alpha - beta > margin) & (m.r_empty > tol))[0]
+    money = tol * scale(env.span)
+    bad_empty = np.nonzero((alpha - beta > GATE) & (m.r_empty > money))[0]
     clause_empty = Clause(
         "no-audit-refund-zero-below-crossover",
         len(bad_empty) == 0,
@@ -158,7 +158,7 @@ def _tight_necessary(m: Mechanism, env: Environment, core, tol: float) -> Certif
         informational=True,
     )
     cap = m.grid + env.tau
-    bad_p = np.nonzero((beta - alpha > margin) & (m.a > margin) & (m.r_p < cap - tol))[0]
+    bad_p = np.nonzero((beta - alpha > GATE) & (m.a > GATE) & (m.r_p < cap - money))[0]
     clause_p = Clause(
         "audit-refund-maxed-above-crossover",
         len(bad_p) == 0,
@@ -174,7 +174,7 @@ def _tight_necessary(m: Mechanism, env: Environment, core, tol: float) -> Certif
 
 
 def _require_common_grid(m_star: Mechanism, m: Mechanism, env: Environment):
-    if len(m_star) != len(m) or np.max(np.abs(m_star.grid - m.grid)) > 1e-12 * max(1.0, env.span):
+    if len(m_star) != len(m) or np.max(np.abs(m_star.grid - m.grid)) > NOISE * scale(env.span):
         raise GridMismatchError("mechanisms are tabulated on different grids")
 
 
@@ -196,7 +196,7 @@ def _order(delta_first: np.ndarray, delta_second: np.ndarray, tol: float) -> str
     return INCOMPARABLE
 
 
-def compare_efficiency(m_star: Mechanism, m: Mechanism, env: Environment, tol: float = COMPARE_TOL) -> str:
+def compare_efficiency(m_star: Mechanism, m: Mechanism, env: Environment, tol: float = GATE) -> str:
     """Pointwise efficiency order: weakly higher revenue, weakly lower audits."""
     _require_common_grid(m_star, m, env)
     d_rev = revenue_table(m_star) - revenue_table(m)
@@ -204,7 +204,7 @@ def compare_efficiency(m_star: Mechanism, m: Mechanism, env: Environment, tol: f
     return _order(d_rev, d_aud, tol)
 
 
-def compare_tightness(m_star: Mechanism, m: Mechanism, env: Environment, tol: float = COMPARE_TOL) -> str:
+def compare_tightness(m_star: Mechanism, m: Mechanism, env: Environment, tol: float = GATE) -> str:
     """Pointwise tightness order: weakly higher profit and deviation loss.
 
     Shares the efficiency verdict set; "more-efficient" here reads as

@@ -6,7 +6,8 @@ export.  Each command accepts only the flags it reads:
   all commands                          --env (required), --out
   validate, construct                   --lambda or --seed (exactly one), --grid
   validate, construct, tighten          --format json|csv
-  validate, check, compare              --tol (finite, >= 0)
+  validate, check, compare              --tol (finite, >= 0; check bounds money
+                                        at tol * max(1, span), audits at tol)
   tighten, check, compare, bruteforce,  --mechanism (required once; twice for
   export                                compare: candidate, baseline)
   bruteforce                            --types (required), --q,
@@ -53,6 +54,7 @@ from .lambda_space import (
 from .mechanism import Mechanism, check_feasible, report
 from .pwl import PwlFunction
 from .tighten import tighten as run_tighten
+from .tolerances import CERT, GATE
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -192,8 +194,7 @@ def _cmd_tighten(args) -> int:
 def _cmd_check(args) -> int:
     env = _load_env(args)
     m = _load_mechanism(args.mechanism[0])
-    tol = args.tol if args.tol is not None else certify.CERT_TOL
-    eff, tight = certify.certify_both(m, env, tol=tol)
+    eff, tight = certify.certify_both(m, env, tol=args.tol)
     _emit(_dump_json({"efficient": eff.to_dict(), "tightness_necessary": tight.to_dict()}), args.out)
     return EXIT_OK if eff.verdict == certify.CERTIFIED_EFFICIENT else EXIT_NEGATIVE
 
@@ -202,10 +203,9 @@ def _cmd_compare(args) -> int:
     env = _load_env(args)
     m_star = _load_mechanism(args.mechanism[0])
     m = _load_mechanism(args.mechanism[1])
-    tol = args.tol if args.tol is not None else certify.COMPARE_TOL
     out = {
-        "efficiency": certify.compare_efficiency(m_star, m, env, tol=tol),
-        "tightness": certify.compare_tightness(m_star, m, env, tol=tol),
+        "efficiency": certify.compare_efficiency(m_star, m, env, tol=args.tol),
+        "tightness": certify.compare_tightness(m_star, m, env, tol=args.tol),
     }
     _emit(_dump_json(out), args.out)
     return EXIT_OK
@@ -264,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
         if name in ("validate", "construct", "tighten"):
             p.add_argument("--format", choices=("json", "csv"), default="json")
         if name in ("validate", "check", "compare"):
-            p.add_argument("--tol", type=_tolerance)
+            p.add_argument("--tol", type=_tolerance, default={"check": CERT, "compare": GATE}.get(name))
         if name not in ("validate", "construct"):
             p.add_argument("--mechanism", action="append", required=True)
         if name == "bruteforce":

@@ -17,12 +17,7 @@ from .environment import Environment
 from .errors import PreconditionError
 from .lambda_space import LossFunction
 from .mechanism import Mechanism, system_holds
-
-# Grid points closer than this fraction of the surplus span are merged, and
-# support types this close to a kink snap to it: certification recomputes
-# chord ratios on the grid, and those need well-separated abscissae to stay
-# accurate at the 1e-8 level.
-GRID_MERGE_REL = 1e-7
+from .tolerances import GRID_MERGE, NOISE
 
 
 @dataclass(frozen=True)
@@ -89,7 +84,7 @@ def support_types(lam: LossFunction, env: Environment) -> np.ndarray:
     """
     xs, vs = lam.xs, lam.vs
     slopes = (vs[1:] - vs[:-1]) / (xs[1:] - xs[:-1])
-    snap_tol = GRID_MERGE_REL * env.span
+    snap_tol = GRID_MERGE * env.span
 
     def snapped(y: float) -> float:
         # a candidate this close to a kink IS that kink up to float noise,
@@ -101,11 +96,11 @@ def support_types(lam: LossFunction, env: Environment) -> np.ndarray:
 
     out = []
     for i, s in enumerate(slopes):
-        if s >= 1.0 - 1e-12:
+        if s >= 1.0 - NOISE:
             continue  # slope-1 segments sit on the identity; breakpoints suffice
         b = float(vs[i] - s * xs[i])
         y_id = b / (1.0 - s)
-        if env.x_lo - 1e-12 <= y_id <= env.x_hi + 1e-12:
+        if env.x_lo - NOISE <= y_id <= env.x_hi + NOISE:
             out.append(snapped(y_id))
         target = b - s * env.tau
         if vs[0] <= target <= vs[-1]:
@@ -122,28 +117,22 @@ def support_types(lam: LossFunction, env: Environment) -> np.ndarray:
 
 def merge_grid(primary, extra, env: Environment) -> np.ndarray:
     """Union of grids, keeping every primary point and dropping extra points
-    that land within the merge tolerance of a kept one."""
+    within GRID_MERGE * span of a primary point or of the extra before them."""
     primary = np.unique(np.asarray(primary, dtype=float))
     extra = np.sort(np.asarray(extra, dtype=float))
-    tol = GRID_MERGE_REL * env.span
+    tol = GRID_MERGE * env.span
     pos = np.searchsorted(primary, extra)
     left = primary[np.clip(pos - 1, 0, len(primary) - 1)]
     right = primary[np.clip(pos, 0, len(primary) - 1)]
-    near = (np.abs(extra - left) <= tol) | (np.abs(extra - right) <= tol)
-    # surviving extras lie more than tol from every primary point, so the
-    # gap mask below drops only extras close to their extra predecessor
-    kept = np.sort(np.concatenate([primary, extra[~near]]))
-    keep_mask = np.concatenate([[True], np.diff(kept) > tol])
-    kept = kept[keep_mask]
-    if kept[-1] != primary[-1]:  # the upper bound must survive thinning
-        kept[-1] = primary[-1]
-    return kept
+    extra = extra[(np.abs(extra - left) > tol) & (np.abs(extra - right) > tol)]
+    extra = extra[np.diff(extra, prepend=-np.inf) > tol]
+    return np.union1d(primary, extra)
 
 
 def build_grid(lam: LossFunction, env: Environment, grid_size: int) -> np.ndarray:
     """Default construction grid: breakpoints and support types first, then a
     uniform fill of ``grid_size`` points."""
-    anchors = np.concatenate([lam.xs, support_types(lam, env), [env.x_lo, env.x_hi]])
+    anchors = merge_grid([env.x_lo, env.x_hi], np.concatenate([lam.xs, support_types(lam, env)]), env)
     uniform = np.linspace(env.x_lo, env.x_hi, int(grid_size))
     return merge_grid(anchors, uniform, env)
 

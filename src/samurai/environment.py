@@ -8,6 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
+from .tolerances import NOISE
 
 COST_KINDS = ("linear", "power")
 
@@ -78,11 +79,11 @@ def cost_eval(cost: CostFn, a):
     """Evaluate the audit cost at probability ``a`` (scalar or array).
 
     Raises DomainError if any value lies outside [0, 1]; values within
-    1e-12 of the bounds are clipped rather than rejected.
+    NOISE of the bounds are clipped rather than rejected.
     """
     arr = np.asarray(a, dtype=float)
-    if np.any(arr < -1e-12) or np.any(arr > 1 + 1e-12):
-        bad = arr[(arr < -1e-12) | (arr > 1 + 1e-12)]
+    if np.any(arr < -NOISE) or np.any(arr > 1 + NOISE):
+        bad = arr[(arr < -NOISE) | (arr > 1 + NOISE)]
         raise DomainError(f"audit probability outside [0, 1]: {bad.flat[0]}")
     arr = np.clip(arr, 0.0, 1.0)
     if cost.kind == "linear":

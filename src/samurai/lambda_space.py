@@ -17,13 +17,7 @@ from .environment import Environment
 from .errors import DomainError, LambdaValidationError
 from .mechanism import _sampled_tables
 from .pwl import PwlFunction, affine_lower_envelope
-
-# Relative slack for the monotonicity / concavity clauses, absolute slack
-# for the anchor clause, and the largest identity overshoot that is clamped
-# instead of rejected.
-SHAPE_TOL_REL = 1e-9
-ANCHOR_TOL = 1e-12
-IDENTITY_CLAMP = 1e-12
+from .tolerances import GATE, NOISE, POINT, scale
 
 
 @dataclass(frozen=True)
@@ -63,24 +57,24 @@ class LossFunction:
 def lambda_violations(f: PwlFunction, env: Environment, tol: float | None = None):
     """Check the admissibility clauses; return a list of Violation records.
 
-    Monotonicity and concavity are checked with value slack ``tol`` (default
-    1e-9 relative to the surplus span), the anchor at 1e-12 absolute, and the
-    identity bound after clamping marginal overshoots.
+    Monotonicity, concavity and range are checked with value slack ``tol``
+    (default GATE * span), the anchor at NOISE * max(1, |x_lo|), and the
+    identity bound after clamping overshoots of up to NOISE * max(1, span).
     """
     if tol is None:
-        tol = SHAPE_TOL_REL * env.span
+        tol = GATE * env.span
     out = []
     xs, vs = f.xs, f.vs
-    span = env.span
-    if abs(f.x_lo - env.x_lo) > 1e-9 * max(1.0, span) or abs(f.x_hi - env.x_hi) > 1e-9 * max(1.0, span):
+    slack = POINT * scale(env.span)
+    if abs(f.x_lo - env.x_lo) > slack or abs(f.x_hi - env.x_hi) > slack:
         out.append(
             Violation("domain", f.x_lo, f"breakpoints span [{f.x_lo}, {f.x_hi}], expected [{env.x_lo}, {env.x_hi}]")
         )
-    if abs(vs[0] - env.x_lo) > ANCHOR_TOL * max(1.0, abs(env.x_lo)):
+    if abs(vs[0] - env.x_lo) > NOISE * scale(abs(env.x_lo)):
         out.append(Violation("anchor", float(xs[0]), f"lambda(x_lo)={vs[0]}, expected {env.x_lo}"))
     over = vs - xs
     worst = int(np.argmax(over))
-    if over[worst] > IDENTITY_CLAMP * max(1.0, span):
+    if over[worst] > NOISE * scale(env.span):
         out.append(
             Violation("below-identity", float(xs[worst]), f"lambda={vs[worst]} exceeds x={xs[worst]}")
         )
@@ -109,7 +103,7 @@ def lambda_violations(f: PwlFunction, env: Environment, tol: float | None = None
 def validate_lambda(f: PwlFunction, env: Environment, tol: float | None = None) -> LossFunction:
     """Validate a PWL candidate and return it as a LossFunction.
 
-    Values at most 1e-12 above the identity are clamped to it; any violated
+    Marginal overshoots of the identity are clamped to it; any violated
     clause raises LambdaValidationError carrying witnesses.
     """
     violations = lambda_violations(f, env, tol)
@@ -150,15 +144,15 @@ def virtual_loss(grid, lam_values, a_values, env: Environment) -> LossFunction:
     grid, lam, a = _sampled_tables(grid, lam_values, a_values)
     if len(grid) < 2:
         raise DomainError("grid needs at least 2 points")
-    span = max(1.0, env.span)
-    if abs(grid[0] - env.x_lo) > 1e-9 * span or abs(grid[-1] - env.x_hi) > 1e-9 * span:
+    slack = POINT * scale(env.span)
+    if abs(grid[0] - env.x_lo) > slack or abs(grid[-1] - env.x_hi) > slack:
         raise DomainError("grid endpoints must match the environment bounds")
-    if np.any(a < -1e-12) or np.any(a > 1 + 1e-12):
+    if np.any(a < -NOISE) or np.any(a > 1 + NOISE):
         raise DomainError("audit probabilities must lie in [0, 1]")
-    if np.any(lam < -env.tau - 1e-9 * span):
+    if np.any(lam < -env.tau - slack):
         i = int(np.argmin(lam))
         raise DomainError(f"loss value {lam[i]} below -tau={-env.tau} at x={grid[i]}")
-    if np.any(lam > grid + 1e-9 * span):
+    if np.any(lam > grid + slack):
         i = int(np.argmax(lam - grid))
         raise DomainError(f"loss value {lam[i]} exceeds x={grid[i]}")
     a = np.clip(a, 0.0, 1.0)
@@ -170,15 +164,14 @@ def virtual_loss(grid, lam_values, a_values, env: Environment) -> LossFunction:
 
 
 def classify_debt(lam: LossFunction):
-    """Threshold y0 if the loss equals min(y, y0) up to 1e-12 * max(1, span),
+    """Threshold y0 if the loss equals min(y, y0) up to NOISE * max(1, span),
     else None."""
     xs, vs = lam.xs, lam.vs
     y0 = float(vs[-1])
     probe = np.unique(np.concatenate([xs, [min(max(y0, xs[0]), xs[-1])]]))
     ref = np.minimum(probe, y0)
     got = lam.eval(probe)
-    scale = max(1.0, float(xs[-1] - xs[0]))
-    if np.max(np.abs(got - ref)) <= 1e-12 * scale:
+    if np.max(np.abs(got - ref)) <= NOISE * scale(float(xs[-1] - xs[0])):
         return y0
     return None
 

@@ -14,9 +14,8 @@ import numpy as np
 
 from .environment import Environment, cost_eval
 from .errors import DomainError, PreconditionError
+from .tolerances import GATE, NOISE, POINT, rounding_bound, scale
 
-IC_TOL = 1e-9
-FEAS_TOL = 1e-12
 # Columns per block of the menu minimum.  Whatever the grid size, its
 # working memory is at most about 1.4 * len(a) * MENU_BLOCK floats: the
 # evaluated lines of one block (every line at worst; on constructed
@@ -28,7 +27,6 @@ MENU_BLOCK = 128
 _SCAN_GROUP = MENU_BLOCK // 8
 _BELOW_DIAG = np.tri(MENU_BLOCK, k=-1, dtype=bool)
 _BELOW_DIAG.setflags(write=False)
-_EPS = np.finfo(float).eps
 _TINY = np.finfo(float).tiny
 
 
@@ -67,10 +65,10 @@ class Mechanism:
 
     def index_of(self, x: float) -> int:
         """Index of x on the grid; off-grid x is a domain error."""
-        span = max(1.0, float(self.grid[-1] - self.grid[0]))
+        slack = POINT * scale(float(self.grid[-1] - self.grid[0]))
         i = int(np.searchsorted(self.grid, x))
         for j in (i - 1, i, i + 1):
-            if 0 <= j < len(self.grid) and abs(self.grid[j] - x) <= 1e-9 * span:
+            if 0 <= j < len(self.grid) and abs(self.grid[j] - x) <= slack:
                 return j
         raise DomainError(f"x={x} is not a grid point of this mechanism")
 
@@ -198,7 +196,7 @@ def _block_lines(a, x, c):
     group = [(k0, slice(0, min(k0 + MENU_BLOCK, n)), min(k0 + MENU_BLOCK, n)) for k0 in full]
     scanned = np.arange(len(full) * MENU_BLOCK, n, MENU_BLOCK)
     if len(scanned):
-        margin = 8 * _EPS * (np.abs(a).max() * max(abs(x[0]), abs(x[-1])) + np.abs(c).max()) + 4 * _TINY
+        margin = rounding_bound(max(abs(x[0]), abs(x[-1])), np.abs(a).max(), np.abs(c).max()) + 4 * _TINY
         bits_a, bits_c = a.view(np.int64), c.view(np.int64)
         repeats = (bits_a[1:] == bits_a[:-1]) & (bits_c[1:] == bits_c[:-1])
     for j in range(0, len(scanned), _SCAN_GROUP):
@@ -263,7 +261,7 @@ def report(m: Mechanism, env: Environment) -> MechanismReport:
     gap = rev - dev
     witnesses = [
         {"x": float(m.grid[i]), "revenue": float(rev[i]), "deviation_loss": float(dev[i])}
-        for i in np.nonzero(gap > IC_TOL)[0]
+        for i in np.nonzero(gap > GATE * scale(env.span))[0]
     ]
     return MechanismReport(
         grid=m.grid,
@@ -281,16 +279,16 @@ def report(m: Mechanism, env: Environment) -> MechanismReport:
 def check_feasible(m: Mechanism, env: Environment) -> CheckResult:
     """Pointwise feasibility: probabilities in [0,1], refunds in [0, y+tau],
     grid endpoints matching the environment bounds.  Probabilities are
-    unitless and get the absolute FEAS_TOL; refunds get it times max(1, span)."""
-    tol = FEAS_TOL * max(1.0, env.span)
+    unitless and get the absolute NOISE; refunds get it times scale(span)."""
+    tol = NOISE * scale(env.span)
     violations = []
-    if abs(m.grid[0] - env.x_lo) > 1e-9 * max(1.0, env.span):
+    if abs(m.grid[0] - env.x_lo) > POINT * scale(env.span):
         violations.append({"index": 0, "field": "grid", "value": float(m.grid[0]), "bound": env.x_lo})
-    if abs(m.grid[-1] - env.x_hi) > 1e-9 * max(1.0, env.span):
+    if abs(m.grid[-1] - env.x_hi) > POINT * scale(env.span):
         violations.append({"index": len(m) - 1, "field": "grid", "value": float(m.grid[-1]), "bound": env.x_hi})
     cap = m.grid + env.tau
     for name, arr, lo_ok, hi_lim in (
-        ("a", m.a, -FEAS_TOL, 1.0 + FEAS_TOL),
+        ("a", m.a, -NOISE, 1.0 + NOISE),
         ("r_p", m.r_p, -tol, None),
         ("r_empty", m.r_empty, -tol, None),
     ):
@@ -346,14 +344,14 @@ def system_holds(grid, lam_values, a_values, env: Environment) -> CheckResult:
     """The downward-deviation inequality system for a sampled (loss, audit) pair.
 
     Checks, for all grid pairs y <= x,
-        loss(x) <= a(y)*x + min{(1-a(y))*y, loss(y) + a(y)*tau} + IC_TOL.
+        loss(x) <= a(y)*x + min{(1-a(y))*y, loss(y) + a(y)*tau} + GATE * scale(span).
     The tables must be aligned and finite and the grid strictly increasing,
     else DomainError.
     """
     grid, lam, a = _sampled_tables(grid, lam_values, a_values)
     phi = np.minimum((1.0 - a) * grid, lam + a * env.tau)
     slack = _menu_min(a, grid, phi) - lam
-    bad = np.nonzero(slack < -IC_TOL)[0]
+    bad = np.nonzero(slack < -GATE * scale(env.span))[0]
     violations = []
     for j in bad:
         terms = a[: j + 1] * grid[j] + phi[: j + 1]

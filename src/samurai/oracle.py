@@ -23,9 +23,9 @@ import numpy as np
 from .environment import Environment, cost_eval
 from .errors import InstanceSizeError, RoundingError
 from .mechanism import Mechanism
+from .tolerances import GATE, NOISE, POINT
 
 ENUM_LIMIT = 1e8
-LATTICE_EQ_TOL = 1e-9
 
 
 def _frozen(arr) -> np.ndarray:
@@ -59,7 +59,7 @@ class DiscreteInstance:
             raise ValueError("instances support 1 to 6 types")
         if any(b <= a for a, b in zip(types, types[1:])):
             raise ValueError("types must be strictly increasing")
-        if abs(types[0] - self.env.x_lo) > 1e-12 or abs(types[-1] - self.env.x_hi) > 1e-12:
+        if abs(types[0] - self.env.x_lo) > NOISE or abs(types[-1] - self.env.x_hi) > NOISE:
             raise ValueError("type set must span the environment bounds")
         if not 1 <= self.q <= 10:
             raise ValueError("audit lattice resolution q must be in [1, 10]")
@@ -97,7 +97,7 @@ class DiscreteInstance:
         steps = [np.min(np.diff(lat)) for lat in (audit, *refunds) if len(lat) > 1]
         object.__setattr__(self, "_levels", _frozen(levels))
         object.__setattr__(self, "_tables", tuple(tables))
-        object.__setattr__(self, "_limit", 0.5 * min(steps) + 1e-12)
+        object.__setattr__(self, "_limit", 0.5 * min(steps) + NOISE)
 
     def audit_lattice(self) -> np.ndarray:
         return self._audit
@@ -168,7 +168,7 @@ def _ic_mask(inst: DiscreteInstance, A, RP, RE) -> np.ndarray:
     types = np.asarray(inst.types)
     lines = A[:, :, None] * types + (1.0 - A[:, :, None]) * (types - RE)[:, :, None]  # [row, i, j]
     lam = np.where(np.tri(len(types), dtype=bool).T, lines, np.inf).min(axis=1)  # lines i <= j
-    return np.all(lam >= _revenue(types, A, RP, RE) - LATTICE_EQ_TOL, axis=1)
+    return np.all(lam >= _revenue(types, A, RP, RE) - GATE, axis=1)
 
 
 def enumerate_feasible_ic(inst: DiscreteInstance):
@@ -226,18 +226,17 @@ def _first_dominator(tables, mode, target):
     its options at each type and whether it beats the target strictly somewhere.
     """
     R_t, a_hat, Pi_t, lam_t = target
-    eps = LATTICE_EQ_TOL
     rows = np.zeros((1, 0), dtype=np.intp)  # option index per type of each kept prefix
     floor = np.full((1, len(tables)), np.inf)
     strict = np.zeros(1, dtype=bool)
     for t, (options, R, Pi, lines) in enumerate(tables):
         lam = np.minimum(floor[:, t : t + 1], lines[:, t])
         if mode == "efficiency":
-            better = (R - R_t[t] > eps) | (a_hat[t] - options[:, 0] > eps)
+            better = (R - R_t[t] > GATE) | (a_hat[t] - options[:, 0] > GATE)
         else:
-            better = (Pi - Pi_t[t] > eps) | (lam - lam_t[t] > eps)
+            better = (Pi - Pi_t[t] > GATE) | (lam - lam_t[t] > GATE)
         strict = strict[:, None] | better
-        ok = (lam >= R - eps) & (strict if t == len(tables) - 1 else True)  # a full candidate must gain
+        ok = (lam >= R - GATE) & (strict if t == len(tables) - 1 else True)  # a full candidate must gain
         p, c = np.nonzero(ok)  # row-major, so the prefixes stay in lexicographic order
         if not len(p):
             return None
@@ -263,7 +262,7 @@ def is_undominated(
     if mode not in ("efficiency", "tightness"):
         raise ValueError(f"unknown mode {mode!r}")
     types = np.asarray(inst.types)
-    if len(m.grid) != len(types) or np.max(np.abs(m.grid - types)) > 1e-9:
+    if len(m.grid) != len(types) or np.max(np.abs(m.grid - types)) > POINT:
         raise ValueError("mechanism grid must equal the instance type set")
 
     a_hat, audit_error = _round_per_type(m.a, inst._audit[None])
@@ -280,7 +279,6 @@ def is_undominated(
     R_t = _revenue(types, a_hat, rp_hat, re_hat)
     lam_t = bruteforce_deviation_loss(target, inst)
     Pi_t = R_t - cost_eval(inst.env.cost, a_hat)
-    eps = LATTICE_EQ_TOL
 
     # Every dominance condition speaks about one type's option alone, so each
     # option table is filtered first; only IC and strictness couple the types.
@@ -288,11 +286,11 @@ def is_undominated(
     keep = []
     for t, (options, R, Pi, lines) in enumerate(inst._tables):
         if mode == "efficiency":
-            ok = (R >= R_t[t] - eps) & (options[:, 0] <= a_hat[t] + eps)
+            ok = (R >= R_t[t] - GATE) & (options[:, 0] <= a_hat[t] + GATE)
         else:
             # lambda_j is a minimum over menu lines, so it clears a floor
             # iff every line entering it does, among them this type's
-            ok = (Pi >= Pi_t[t] - eps) & np.all(lines[:, t:] >= lam_t[t:] - eps, axis=1)
+            ok = (Pi >= Pi_t[t] - GATE) & np.all(lines[:, t:] >= lam_t[t:] - GATE, axis=1)
         keep.append(np.nonzero(ok)[0])
     survivors = [tuple(arr[k] for arr in table) for table, k in zip(inst._tables, keep)]
 

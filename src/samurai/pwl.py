@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .tolerances import check_within, rounding_bound
 
 
 @dataclass(frozen=True, eq=False)
@@ -67,18 +67,10 @@ class PwlFunction:
     def from_dict(cls, data: dict) -> "PwlFunction":
         return cls.from_pairs(data["breakpoints"])
 
-    def _check_domain(self, x: np.ndarray):
-        slack = 1e-9 * max(1.0, self.span)
-        if np.any(x < self.x_lo - slack) or np.any(x > self.x_hi + slack):
-            bad = x[(x < self.x_lo - slack) | (x > self.x_hi + slack)]
-            raise DomainError(
-                f"x={bad.flat[0]} outside domain [{self.x_lo}, {self.x_hi}]"
-            )
-
     def eval(self, x):
         """Interpolate at ``x`` (scalar or array); exact at breakpoints."""
         arr = np.asarray(x, dtype=float)
-        self._check_domain(arr)
+        check_within(arr, self.x_lo, self.x_hi, self.span, "x")
         out = np.interp(np.clip(arr, self.x_lo, self.x_hi), self.xs, self.vs)
         if np.isscalar(x) or arr.ndim == 0:
             return float(out)
@@ -128,7 +120,7 @@ def affine_lower_envelope(slopes, intercepts, domain) -> PwlFunction:
     if not lo < hi:
         raise ValueError(f"empty domain [{lo}, {hi}]")
     reach = max(abs(lo), abs(hi))
-    depth_tol = 8 * np.finfo(float).eps * (reach * float(s.max()) + float(np.abs(b).max()))
+    depth_tol = rounding_bound(reach, float(s.max()), float(np.abs(b).max()))
 
     order = np.lexsort((b, -s))
     pruned: list[tuple[float, float]] = []  # (slope, intercept)

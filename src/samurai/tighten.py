@@ -19,9 +19,7 @@ from .environment import Environment, cost_eval
 from .errors import GuaranteeError
 from .lambda_space import LossFunction, virtual_loss
 from .mechanism import Mechanism, _require_feasible_ic, deviation_loss_table, revenue_table
-
-GUARANTEE_TOL = 1e-9
-FIXED_POINT_TOL = 1e-8
+from .tolerances import CERT, GATE, NOISE, scale
 
 
 @dataclass(frozen=True)
@@ -90,7 +88,7 @@ def tighten(m: Mechanism, env: Environment) -> TightenReport:
             np.max(rep.profit - (star_at_in - cost_eval(env.cost, a_out_at_in))),
         ),
     ]
-    tol = GUARANTEE_TOL * max(1.0, env.span)
+    tol = GATE * scale(env.span)
     for label, worst in checks:
         if worst > tol:
             raise GuaranteeError(f"tightening guarantee violated: {label} by {worst:.3g}")
@@ -103,17 +101,17 @@ def tighten(m: Mechanism, env: Environment) -> TightenReport:
         grid_out=grid_out,
         a_out=a_out,
         mechanism_out=m_out,
-        audit_reduced=bool(np.any(m.a - a_out_at_in > 1e-12)),
-        revenue_increased=bool(np.any(rev_out[idx] - rep.revenue > 1e-12 * max(1.0, env.span))),
+        audit_reduced=bool(np.any(m.a - a_out_at_in > NOISE)),
+        revenue_increased=bool(np.any(rev_out[idx] - rep.revenue > NOISE * scale(env.span))),
         lambda_m_out=lam_m_out,
     )
 
 
-def is_fixed_point(m: Mechanism, env: Environment, tol: float = FIXED_POINT_TOL) -> bool:
+def is_fixed_point(m: Mechanism, env: Environment, tol: float = CERT) -> bool:
     """Whether tightening leaves the audit schedule unchanged to ``tol`` and
     revenue unchanged to ``tol * max(1, span)``."""
     rep = tighten(m, env)
     idx = _input_indices(rep.grid_out, m.grid)
     same_a = np.max(np.abs(rep.a_out[idx] - m.a)) <= tol
-    same_r = np.max(np.abs(revenue_table(rep.mechanism_out)[idx] - revenue_table(m))) <= tol * max(1.0, env.span)
+    same_r = np.max(np.abs(revenue_table(rep.mechanism_out)[idx] - revenue_table(m))) <= tol * scale(env.span)
     return bool(same_a and same_r)

@@ -16,7 +16,7 @@ from samurai import (
     tighten,
     validate_lambda,
 )
-from samurai.audit_schedule import CROSSOVER_XTOL, QUERY_SNAP_TOL
+from samurai.tolerances import CROSSOVER_XTOL, POINT
 
 from conftest import grid_sup_alpha, grid_sup_beta, make_env, random_mechanism
 
@@ -238,7 +238,7 @@ class DenseSchedule(AuditSchedule):
 
     def _sup_ratio(self, ys, kind):
         xs, vs = self.pwl.xs[:, None], self.pwl.vs[:, None]
-        snap = QUERY_SNAP_TOL * max(1.0, self.env.span)
+        snap = POINT * max(1.0, self.env.span)
         if kind == "alpha":
             num, den = vs - ys, xs - ys
             valid = den > snap

@@ -19,7 +19,8 @@ from samurai import (
     validate_lambda,
 )
 
-from samurai.constructor import GRID_MERGE_REL, merge_grid
+from samurai.constructor import merge_grid
+from samurai.tolerances import GRID_MERGE
 
 from conftest import make_env
 
@@ -142,10 +143,11 @@ class TestBuildEfficient:
 
 def reference_merge_grid(primary, extra, env):
     """merge_grid that also thins the surviving extras against each other
-    before the final gap mask; merge_grid must give its bytes."""
+    before a final gap mask that spares primary points; merge_grid must give
+    its bytes."""
     primary = np.unique(np.asarray(primary, dtype=float))
     extra = np.sort(np.asarray(extra, dtype=float))
-    tol = GRID_MERGE_REL * env.span
+    tol = GRID_MERGE * env.span
     if len(extra):
         pos = np.searchsorted(primary, extra)
         left = primary[np.clip(pos - 1, 0, len(primary) - 1)]
@@ -156,10 +158,12 @@ def reference_merge_grid(primary, extra, env):
             keep = np.concatenate([[True], np.diff(extra) > tol])
             extra = extra[keep]
     kept = np.sort(np.concatenate([primary, extra]))
-    kept = kept[np.concatenate([[True], np.diff(kept) > tol])]
-    if kept[-1] != primary[-1]:
-        kept[-1] = primary[-1]
-    return kept
+    return kept[np.concatenate([[True], np.diff(kept) > tol]) | np.isin(kept, primary)]
+
+
+def test_merge_grid_keeps_close_primary_points(env):
+    assert merge_grid([0.0, 0.5, 0.5 + 5e-8, 1.0], [], env).tolist() == [0.0, 0.5, 0.5 + 5e-8, 1.0]
+    assert merge_grid([0.0, 1.0 - 5e-8, 1.0], [0.5, 0.5 + 5e-8], env).tolist() == [0.0, 0.5, 1.0 - 5e-8, 1.0]
 
 
 @given(seed=st.integers(0, 2**32 - 1), x_hi=st.sampled_from([1.0, 1e6]),
@@ -170,7 +174,7 @@ def test_merge_grid_matches_reference(seed, x_hi, n_primary, n_extra):
     # other, near-duplicate primary points, and a few uniform extras
     rng = np.random.default_rng(seed)
     env = make_env(x_hi=x_hi)
-    tol = GRID_MERGE_REL * env.span
+    tol = GRID_MERGE * env.span
     primary = np.concatenate([[0.0, x_hi], rng.uniform(0, x_hi, n_primary)])
     primary = np.concatenate([primary, rng.choice(primary, 3) + tol * rng.uniform(-1.5, 1.5, 3)])
     centres = np.concatenate([rng.choice(primary, n_extra), rng.uniform(0, x_hi, n_extra // 4 + 1)])

@@ -221,7 +221,7 @@ class TestSystem:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("field", ["grid", "loss table", "audit table"])
     def test_non_finite_table_rejected(self, env, field, bad):
-        # a NaN slack is never below -IC_TOL, so an unchecked NaN would pass
+        # a NaN slack is never below the IC gate, so an unchecked NaN would pass
         for i in range(5):
             tables = {"grid": np.linspace(0, 1, 5), "loss table": np.minimum(np.linspace(0, 1, 5), 0.5),
                       "audit table": np.where(np.linspace(0, 1, 5) < 0.5, 1.0, 0.0)}

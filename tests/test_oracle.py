@@ -20,7 +20,8 @@ from samurai import (
     is_undominated,
 )
 from samurai import oracle
-from samurai.oracle import LATTICE_EQ_TOL, _round_per_type
+from samurai.oracle import _round_per_type
+from samurai.tolerances import GATE
 
 from conftest import build_on_types, make_env
 
@@ -181,7 +182,7 @@ def reference_witness(m, inst, mode):
             return revenue, -c.a
         return revenue - cost_eval(inst.env.cost, c.a), bruteforce_deviation_loss(c, inst)
 
-    eps = LATTICE_EQ_TOL
+    eps = GATE
     target = criteria(m)
     for cand in enumerate_feasible_ic(inst):
         mine = criteria(cand)

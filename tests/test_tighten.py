@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from samurai import (
+    AuditSchedule,
     GuaranteeError,
     Mechanism,
     PreconditionError,
@@ -13,6 +14,7 @@ from samurai import (
     debt_loss,
     is_fixed_point,
     random_loss_function,
+    refunds_from,
     revenue_table,
     tighten,
     validate_lambda,
@@ -106,6 +108,20 @@ def test_lost_input_point_is_guarantee_error(lost, monkeypatch, capsys):
     assert code == 1
     assert captured.out == ""
     assert captured.err == "error: refined grid lost input grid points\n"
+
+
+def test_grid_points_closer_than_the_merge_tolerance_survive():
+    # 0.5 and 0.5 + 5e-8 lie within GRID_MERGE * span of each other; the
+    # refined grid must keep both, or tighten refuses a feasible IC input
+    env = make_env(tau=0.5)
+    lam = debt_loss(env, 0.7)
+    grid = np.sort(np.append(np.linspace(0.0, 1.0, 101), 0.5 + 5e-8))
+    a = AuditSchedule.from_loss(lam, env).audit_prob_table(grid)
+    pair = refunds_from(grid, lam.eval(grid), a, env)
+    m = Mechanism(grid=grid, a=a, r_p=pair.r_p, r_empty=pair.r_empty)
+    rep = tighten(m, env)
+    assert np.isin(grid, rep.grid_out).all()
+    assert is_fixed_point(rep.mechanism_out, env)
 
 
 @pytest.mark.parametrize("scale", [1e-3, 1e3, 1e6])
