@@ -28,7 +28,7 @@ from .environment import Environment
 from .errors import DomainError
 from .lambda_space import LossFunction
 from .pwl import PwlFunction
-from .tolerances import CROSSOVER_XTOL, NOISE, POINT, check_within, scale
+from .tolerances import NOISE, POINT, check_within, scale
 
 
 @dataclass(frozen=True)
@@ -102,6 +102,26 @@ class AuditSchedule:
         seg = np.clip(np.searchsorted(xs, ys + snap, side="right") - 1, 0, len(xs) - 2)
         return self._slopes[seg]
 
+    def _tangent(self, start: np.ndarray, px, py) -> np.ndarray:
+        """Index of the breakpoint at or right of each start with the steepest
+        slope from (px, py): the first vertex of the suffix's upper hull from
+        which that slope stops rising."""
+        xs, vs = self.pwl.xs, self.pwl.vs
+        jumps = self._hull
+
+        def rises(k):
+            nxt = jumps[0][k]
+            return (vs[nxt] - py) / (xs[nxt] - px) > (vs[k] - py) / (xs[k] - px)
+
+        with np.errstate(divide="ignore", invalid="ignore"):
+            # descend to the last hull vertex from which the slope still
+            # rises; the tangent vertex is the one after it
+            cur = start
+            for level in jumps[::-1]:
+                cand = level[cur]
+                cur = np.where(rises(cand), cand, cur)
+            return np.where(rises(cur), jumps[0][cur], cur)
+
     def _sup_ratio(self, ys: np.ndarray, kind: str) -> np.ndarray:
         """Steepest slope from the alpha or beta reference point at each y to
         a breakpoint right of y; -inf where there is none."""
@@ -111,23 +131,9 @@ class AuditSchedule:
         # candidates: else a kink one ulp right would pose as an identity stretch
         start = np.searchsorted(xs, ys + POINT * scale(self.env.span), side="right")
         px, py = (ys, ys) if kind == "alpha" else (-self.env.tau, self.pwl.eval(ys))
-        jumps = self._hull
-
-        def ratio(k):
-            return (vs[k] - py) / (xs[k] - px)
-
-        def rises(k):
-            return ratio(jumps[0][k]) > ratio(k)
-
+        k = self._tangent(np.minimum(start, n - 1), px, py)
         with np.errstate(divide="ignore", invalid="ignore"):
-            # descend to the last hull vertex from which the slope still
-            # rises; the tangent vertex is the one after it
-            cur = np.minimum(start, n - 1)
-            for level in jumps[::-1]:
-                cand = level[cur]
-                cur = np.where(rises(cand), cand, cur)
-            cur = np.where(rises(cur), jumps[0][cur], cur)
-            return np.where(start < n, ratio(cur), -np.inf)
+            return np.where(start < n, (vs[k] - py) / (xs[k] - px), -np.inf)
 
     # -- the two suprema ------------------------------------------------------
 
@@ -167,35 +173,51 @@ class AuditSchedule:
 
     # -- crossover and the single-crossing diagnostic ----------------------
 
-    def _scan_grid(self, n: int = 4097) -> np.ndarray:
-        xs = self.pwl.xs
-        mids = (xs[:-1] + xs[1:]) / 2.0
-        grid = np.concatenate([np.linspace(self.env.x_lo, self.env.x_hi, n), xs, mids])
-        return np.unique(grid)
-
     def crossover(self) -> float:
         """The type above which the binding deterrence instrument switches
-        from withholding the no-audit refund to maxing out the audit refund.
+        from withholding the no-audit refund to maxing out the audit refund:
+        the right edge of {alpha > beta}, or x_lo when that set is empty.
 
-        Located as the right edge of {alpha > beta} to 1e-10 * max(1, x_hi),
-        by rescanning the bracket at the scan grid's length; x_lo when the
-        strict set is empty, x_hi when it reaches the top.
+        alpha(y) > beta(y) exactly when beta(y) * (y + tau) > y - loss(y).
+        The line of slope beta(y) through (y, y) is parallel to beta's
+        tangent through (-tau, loss(y)) and lies y - loss(y) - beta(y)(y + tau)
+        above it, so it passes below the tangent vertex exactly when that gap
+        is negative.  On a loss between -tau and the identity, the clips into
+        [0, 1] and alpha's identity stretch change none of these signs.
+
+        On loss segment i write y = x_i + u, u in [0, w_i].  Then
+        Q_j(u) = (v_j - loss(y))(y + tau) - (y - loss(y))(x_j + tau) is a
+        quadratic in u, and some breakpoint j right of y has Q_j(u) > 0
+        exactly when beta's tangent vertex has.  Over the segment that
+        vertex lies between its places at the two ends, so each j between
+        them is tried: the edge is the largest x_i + w_i with Q_j(w_i) > 0,
+        or else the largest x_i plus the root where Q_j falls through 0.
         """
-        xtol = CROSSOVER_XTOL * scale(self.env.x_hi)  # above the float spacing
-        lo, hi = self.env.x_lo, self.env.x_hi
-        grid = self._scan_grid()
-        while True:
-            d = self.alpha_table(grid) - self.beta_table(grid)
-            pos = np.nonzero(d > 0.0)[0]
-            if len(pos) == 0:
-                return lo
-            i = int(pos[-1])
-            if i == len(grid) - 1:
-                return hi
-            lo, hi = float(grid[i]), float(grid[i + 1])
-            if hi - lo <= xtol:
-                return 0.5 * (lo + hi)
-            grid = np.linspace(lo, hi, len(grid))
+        xs, vs, tau = self.pwl.xs, self.pwl.vs, self.env.tau
+        seg = np.arange(len(xs) - 1)
+        ends = (self._tangent(seg + 1, -tau, vs[:-1]), self._tangent(seg + 1, -tau, vs[1:]))
+        first, count = np.minimum(*ends), np.abs(ends[0] - ends[1]) + 1
+        i = np.repeat(seg, count)
+        j = first[i] + np.arange(len(i)) - np.repeat(np.cumsum(count) - count, count)
+        # where alpha and beta meet at a shallow angle the coefficients cancel:
+        # in float64 the edge lands up to 31 ulps off on random losses, in
+        # long double (64-bit mantissa on x86) within an ulp
+        xs, vs = xs.astype(np.longdouble), vs.astype(np.longdouble)
+        slope = (np.diff(vs) / np.diff(xs))[i]
+        reach, gap = xs + tau, xs - vs  # x + tau and x - loss(x) at every breakpoint
+        # Q_j(u) = -slope u^2 + b u + c
+        gain = vs[j] - vs[i]
+        b = gain - slope * reach[i] - (1.0 - slope) * reach[j]
+        c = gain * reach[i] - gap[i] * reach[j]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            # the root where Q_j falls through 0, in the form that does not
+            # cancel; it holds for either sign of the u^2 coefficient
+            root_d = np.sqrt(b * b + 4.0 * slope * c)
+            root = np.where(b <= 0.0, 2.0 * c / (root_d - b), (b + root_d) / (2.0 * slope))
+        falls = (root > 0.0) & (xs[i] + root <= xs[i + 1])
+        ends_positive = (vs[j] - vs[i + 1]) * reach[i + 1] - gap[i + 1] * reach[j] > 0.0
+        edges = np.concatenate([xs[i + 1][ends_positive], (xs[i] + root)[falls]])
+        return float(edges.max()) if len(edges) else self.env.x_lo
 
     def check_single_crossing(self, grid_size: int) -> SingleCrossingReport:
         """Verify the difference alpha - beta never turns positive after

@@ -23,7 +23,7 @@ import numpy as np
 from .environment import Environment, cost_eval
 from .errors import InstanceSizeError, RoundingError
 from .mechanism import Mechanism
-from .tolerances import GATE, NOISE, POINT
+from .tolerances import GATE, NOISE, POINT, scale
 
 ENUM_LIMIT = 1e8
 
@@ -168,7 +168,7 @@ def _ic_mask(inst: DiscreteInstance, A, RP, RE) -> np.ndarray:
     types = np.asarray(inst.types)
     lines = A[:, :, None] * types + (1.0 - A[:, :, None]) * (types - RE)[:, :, None]  # [row, i, j]
     lam = np.where(np.tri(len(types), dtype=bool).T, lines, np.inf).min(axis=1)  # lines i <= j
-    return np.all(lam >= _revenue(types, A, RP, RE) - GATE, axis=1)
+    return np.all(lam >= _revenue(types, A, RP, RE) - GATE * scale(inst.env.span), axis=1)
 
 
 def enumerate_feasible_ic(inst: DiscreteInstance):
@@ -215,7 +215,7 @@ def _chunk_blocks(option_tables, max_block: int = 200_000):
     return split, list(np.ndindex(*counts[:split]))
 
 
-def _first_dominator(tables, mode, target):
+def _first_dominator(tables, mode, target, money_tol):
     """Options (rows a, r_p, r_empty) of the lexicographically first IC
     candidate in the product of ``tables`` strictly better than ``target``, or None.
 
@@ -224,6 +224,7 @@ def _first_dominator(tables, mode, target):
     those below it only, so the product grows one type at a time and drops
     every prefix that fails it.  A prefix carries the cheapest menu line of
     its options at each type and whether it beats the target strictly somewhere.
+    Money compares at ``money_tol``, audits at GATE.
     """
     R_t, a_hat, Pi_t, lam_t = target
     rows = np.zeros((1, 0), dtype=np.intp)  # option index per type of each kept prefix
@@ -232,11 +233,11 @@ def _first_dominator(tables, mode, target):
     for t, (options, R, Pi, lines) in enumerate(tables):
         lam = np.minimum(floor[:, t : t + 1], lines[:, t])
         if mode == "efficiency":
-            better = (R - R_t[t] > GATE) | (a_hat[t] - options[:, 0] > GATE)
+            better = (R - R_t[t] > money_tol) | (a_hat[t] - options[:, 0] > GATE)
         else:
-            better = (Pi - Pi_t[t] > GATE) | (lam - lam_t[t] > GATE)
+            better = (Pi - Pi_t[t] > money_tol) | (lam - lam_t[t] > money_tol)
         strict = strict[:, None] | better
-        ok = (lam >= R - GATE) & (strict if t == len(tables) - 1 else True)  # a full candidate must gain
+        ok = (lam >= R - money_tol) & (strict if t == len(tables) - 1 else True)  # a full candidate must gain
         p, c = np.nonzero(ok)  # row-major, so the prefixes stay in lexicographic order
         if not len(p):
             return None
@@ -279,6 +280,7 @@ def is_undominated(
     R_t = _revenue(types, a_hat, rp_hat, re_hat)
     lam_t = bruteforce_deviation_loss(target, inst)
     Pi_t = R_t - cost_eval(inst.env.cost, a_hat)
+    money_tol = GATE * scale(inst.env.span)
 
     # Every dominance condition speaks about one type's option alone, so each
     # option table is filtered first; only IC and strictness couple the types.
@@ -286,11 +288,11 @@ def is_undominated(
     keep = []
     for t, (options, R, Pi, lines) in enumerate(inst._tables):
         if mode == "efficiency":
-            ok = (R >= R_t[t] - GATE) & (options[:, 0] <= a_hat[t] + GATE)
+            ok = (R >= R_t[t] - money_tol) & (options[:, 0] <= a_hat[t] + GATE)
         else:
             # lambda_j is a minimum over menu lines, so it clears a floor
             # iff every line entering it does, among them this type's
-            ok = (Pi >= Pi_t[t] - GATE) & np.all(lines[:, t:] >= lam_t[t:] - GATE, axis=1)
+            ok = (Pi >= Pi_t[t] - money_tol) & np.all(lines[:, t:] >= lam_t[t:] - money_tol, axis=1)
         keep.append(np.nonzero(ok)[0])
     survivors = [tuple(arr[k] for arr in table) for table, k in zip(inst._tables, keep)]
 
@@ -303,7 +305,7 @@ def is_undominated(
             tuple(arr[lead[t] : lead[t] + 1] for arr in table) if t < split else table
             for t, table in enumerate(survivors)
         ]
-        found = _first_dominator(tables, mode, (R_t, a_hat, Pi_t, lam_t))
+        found = _first_dominator(tables, mode, (R_t, a_hat, Pi_t, lam_t), money_tol)
         if found is not None:
             witness = Mechanism(grid=types.copy(), a=found[:, 0], r_p=found[:, 1], r_empty=found[:, 2])
             if b + 1 < len(blocks):

@@ -12,11 +12,10 @@ NOISE 1e-12  float noise.  As is: probabilities clipped into [0, 1], the
 POINT 1e-9  a position or loss value this far outside its interval counts
     as inside: x scale(span); as is in the oracle's grid test.
 GATE 1e-9  an inequality the theory proves.  x scale(span): IC in report
-    and system_holds, tighten's guarantees.  x span: the default loss-shape
-    tol.  As is: the comparisons' default tol, the oracle's lattice
-    comparisons, the refund clauses' margins.
+    and system_holds, tighten's guarantees, the oracle's money comparisons.
+    x span: the default loss-shape tol.  As is: the comparisons' default
+    tol, the oracle's audit comparisons, the refund clauses' margins.
 CERT 1e-8  default of certify and is_fixed_point: money x scale(span).
-CROSSOVER_XTOL 1e-10 x scale(x_hi): the crossover search's resolution.
 GRID_MERGE 1e-7 x span: closer grid points merge and support types snap to
     kinks, so chord ratios recomputed on the grid stay accurate to CERT.
 """
@@ -29,7 +28,6 @@ NOISE = 1e-12
 POINT = 1e-9
 GATE = 1e-9
 CERT = 1e-8
-CROSSOVER_XTOL = 1e-10
 GRID_MERGE = 1e-7
 
 

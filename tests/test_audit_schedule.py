@@ -1,4 +1,5 @@
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -16,13 +17,33 @@ from samurai import (
     tighten,
     validate_lambda,
 )
-from samurai.tolerances import CROSSOVER_XTOL, POINT
+from samurai.tolerances import POINT
 
 from conftest import grid_sup_alpha, grid_sup_beta, make_env, random_mechanism
 
 
 def schedule(env, *pairs):
     return AuditSchedule.from_loss(validate_lambda(PwlFunction.from_pairs(pairs), env), env)
+
+
+def exact_suprema(xs, vs, tau, y):
+    """alpha(y) and beta(y) in exact arithmetic from their definitions: the
+    chord slopes from (y, y) and from (-tau, loss(y)) to every breakpoint
+    right of y, alpha also taking the right slope where the loss touches the
+    identity at y and beta the x = y term 0, each clipped into [0, 1]."""
+    xs, vs = [Fraction(x) for x in xs], [Fraction(v) for v in vs]
+    tau, y = Fraction(tau), Fraction(y)
+    right = [k for k in range(len(xs)) if xs[k] > y]
+    if not right:
+        return Fraction(0), Fraction(0)
+    nxt = right[0]
+    slope = (vs[nxt] - vs[nxt - 1]) / (xs[nxt] - xs[nxt - 1])
+    ly = vs[nxt - 1] + slope * (y - xs[nxt - 1])
+    alpha = max((vs[k] - y) / (xs[k] - y) for k in right)
+    if ly == y:
+        alpha = max(alpha, slope)
+    beta = max([Fraction(0)] + [(vs[k] - ly) / (xs[k] + tau) for k in right])
+    return min(max(alpha, Fraction(0)), Fraction(1)), min(beta, Fraction(1))
 
 
 class TestAlpha:
@@ -163,7 +184,56 @@ class TestCrossover:
             scaled = make_env(tau=env.tau * c, x_hi=c)
             s = AuditSchedule.from_table(lam.xs * c, lam.shape.vs * c, scaled)
             expect = c * AuditSchedule.from_loss(lam, env).crossover()
-            assert abs(s.crossover() - expect) <= CROSSOVER_XTOL * (max(1.0, c) + c)
+            assert abs(s.crossover() - expect) <= 4 * np.finfo(float).eps * c
+
+    @pytest.mark.parametrize("x1", [1e-4, 1e-3, 0.3])
+    @pytest.mark.parametrize("m", [0.6, 0.75, 0.9])
+    def test_closed_form_family(self, env, x1, m):
+        # on the first segment beta(y) = m (1 - y / x1), and alpha > beta
+        # exactly while beta(y) y > y - m y, that is below x1 (2m - 1) / m;
+        # a sampled search misses all of it at x1 = 1e-4
+        s = AuditSchedule.from_table([0.0, x1, 1.0], [0.0, m * x1, m * x1], env)
+        expect = x1 * (2 * m - 1) / m
+        assert abs(s.crossover() - expect) <= 4 * np.spacing(expect)
+
+    @staticmethod
+    def assert_edge_is_exact(s, ulps=4):
+        """alpha > beta just left of the crossover and alpha <= beta just
+        right of it, in exact arithmetic."""
+        env, xs, vs = s.env, s.pwl.xs, s.pwl.vs
+        y0 = s.crossover()
+        left, right = y0 - ulps * np.spacing(y0), y0 + ulps * np.spacing(y0)
+        if y0 > env.x_lo and left >= env.x_lo:
+            alpha, beta = exact_suprema(xs, vs, env.tau, left)
+            assert alpha > beta, (y0, float(alpha - beta))
+        if right <= env.x_hi:
+            alpha, beta = exact_suprema(xs, vs, env.tau, right)
+            assert alpha <= beta, (y0, float(alpha - beta))
+
+    @pytest.mark.parametrize("tau", [0.0, 0.5, 1.0])
+    def test_edge_is_exact(self, tau):
+        env = make_env(tau=tau)
+        rng = np.random.default_rng(67)
+        for _ in range(100):
+            self.assert_edge_is_exact(AuditSchedule.from_loss(random_loss_function(env, rng), env))
+        for y0 in (0.1, 0.5, 0.9):
+            self.assert_edge_is_exact(AuditSchedule.from_loss(debt_loss(env, y0), env))
+        xs = np.linspace(0.0, 1.0, 200)
+        self.assert_edge_is_exact(AuditSchedule.from_table(xs, xs - xs**2 / 2.0, env))
+
+    def test_non_monotone_deviation_losses(self, env_tau):
+        # the edge lies between the last sample of a dense scan where
+        # alpha > beta and the sample after it
+        rng = np.random.default_rng(61)
+        ys = np.linspace(env_tau.x_lo, env_tau.x_hi, 20_001)
+        for _ in range(30):
+            m = random_mechanism(env_tau, rng)
+            lam = deviation_loss_table(m)
+            assert np.any(np.diff(lam) < 0)
+            s = AuditSchedule.from_table(m.grid, lam, env_tau)
+            pos = np.flatnonzero(s.alpha_table(ys) - s.beta_table(ys) > 0.0)
+            last = pos[-1] if len(pos) else 0
+            assert ys[last] <= s.crossover() <= ys[last + 1]
 
 
 class TestSingleCrossing:

@@ -5,6 +5,11 @@ tighten must succeed at every c where they succeed at c = 1, on grids of
 the same length, with the same audits and revenue / c, and the lattice
 oracle must give the same verdicts.
 
+Two lattices carry the oracle test.  The dyadic one (types at halves,
+q 2, 3 refund levels) computes exactly at every c; on the thirds one
+(types (0, c/3, c), q 3, 4 refund levels) the lattice values round, so a
+money comparison that does not scale with c would show.
+
 A shift of [x_lo, x_hi] is no such symmetry: the refund cap y + tau moves
 with it, so it is not tested.
 """
@@ -35,6 +40,7 @@ SCALES = [1e-3, 1e3, 1e6, 1e9, 1e12]
 LOSSES = 100
 GRID = 201
 ORACLE_SEEDS = 20
+LATTICES = {"dyadic": (2, 2, 3), "thirds": (3, 3, 4)}  # middle type c / k, q, refund levels
 
 
 def scaled_env(c):
@@ -78,12 +84,13 @@ def lattice_target(inst, rng):
 
 
 @functools.cache
-def verdicts(c):
+def verdicts(c, lattice):
     """Per seed and mode, the verdicts along the chain of witnesses from a
     seeded lattice mechanism to an undominated one: the candidates checked,
     and each witness's audits and refunds / c."""
     env = scaled_env(c)
-    inst = DiscreteInstance(types=(0.0, c / 2, c), q=2, refund_levels=3, env=env)
+    middle, q, levels = LATTICES[lattice]
+    inst = DiscreteInstance(types=(0.0, c / middle, c), q=q, refund_levels=levels, env=env)
     out = []
     for seed in range(ORACLE_SEEDS):
         for mode in ("efficiency", "tightness"):
@@ -96,10 +103,19 @@ def verdicts(c):
     return out
 
 
-@pytest.mark.parametrize("c", SCALES)
-def test_oracle_verdicts_commute_with_scale(c):
-    for (checked, chain), (checked1, chain1) in zip(verdicts(c), verdicts(1.0)):
+def assert_same_chains(c, lattice):
+    for (checked, chain), (checked1, chain1) in zip(verdicts(c, lattice), verdicts(1.0, lattice)):
         assert checked == checked1 and len(chain) == len(chain1)
         for (n, a, refunds), (n1, a1, refunds1) in zip(chain, chain1):
             assert n == n1 and np.array_equal(a, a1)
             np.testing.assert_allclose(refunds, refunds1, rtol=1e-15, atol=0)
+
+
+@pytest.mark.parametrize("c", SCALES)
+def test_oracle_verdicts_commute_with_scale(c):
+    assert_same_chains(c, "dyadic")
+
+
+@pytest.mark.parametrize("c", SCALES)
+def test_thirds_lattice_verdicts_commute_with_scale(c):
+    assert_same_chains(c, "thirds")

@@ -30,4 +30,4 @@ def test_no_tolerance_literal_outside_the_table():
 
 
 def test_the_scan_sees_literals():
-    assert len(small_literals(PACKAGE / "tolerances.py")) == 6
+    assert len(small_literals(PACKAGE / "tolerances.py")) == 5

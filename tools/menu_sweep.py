@@ -1,6 +1,6 @@
 """Size sweep of the construct and tighten stages: time and peak memory of
 construct, deviation_loss_table (the menu minimum), virtual_loss (the
-envelope) and tighten from 10^3 to 6.4x10^4 grid points.
+envelope), tighten and the crossover from 10^3 to 6.4x10^4 grid points.
 
     python3 tools/menu_sweep.py --src before=/path/to/old/src --src after=src --out BENCH.json
 
@@ -17,8 +17,10 @@ call.
 Inputs: environment [0, 1], tau 0.5, linear audit cost k 0.1.  The random
 loss is random_loss_function with seed 1; the curved loss is y - y^2/2 on
 1000 even breakpoints.  construct is build_efficient at the grid size;
-deviation_loss_table and tighten take its output, and virtual_loss lifts
-its deviation loss as tighten does.
+deviation_loss_table and tighten take its output, virtual_loss lifts
+its deviation loss as tighten does, and crossover builds the audit schedule
+of that deviation loss table (AuditSchedule.from_table) and finds its
+crossover.
 """
 
 from __future__ import annotations
@@ -58,6 +60,7 @@ def _child(src: str, loss: str, grid: int) -> dict:
         "deviation_loss_table": lambda: S.deviation_loss_table(m),
         "virtual_loss": lambda: S.virtual_loss(m.grid, lam_m, m.a, env),
         "tighten": lambda: S.tighten(m, env),
+        "crossover": lambda: S.AuditSchedule.from_table(m.grid, lam_m, env).crossover(),
     }
     point = {"points": len(m)}
     for name, run in stages.items():
